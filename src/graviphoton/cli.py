@@ -37,18 +37,22 @@ from .metrology import (
     QFI_SWEEP_CSV_COLUMNS,
     SensingChannel,
     build_sensing_channel,
+    check_probe_angle,
+    check_probe_count,
     qfi_finite_difference,
 )
 from .protocols import (
     QBER_SWEEP_CSV_COLUMNS,
-    _check_sigma_grid,
-    _redshift_between,
+    check_sigma_grid,
+    check_sweep_profile,
     qber_at_chi,
 )
 from .spacetime import (
     ObserverPath,
     SchwarzschildGeometry,
-    circular_orbit_angular_velocity,
+    check_redshift_pair,
+    clock_rate_squared,
+    redshift_between,
 )
 from .wavepacket import (
     GaussianProfile,
@@ -112,10 +116,8 @@ def _require_dict(cfg, key):
     return block
 
 
-def _number(block, path, key, *, optional=False, default=None):
+def _number(block, path, key):
     if key not in block:
-        if optional:
-            return default
         raise ConfigParseError(f"{path} is missing key {key!r}")
     val = block[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -223,18 +225,10 @@ def _build_observer(obs: dict) -> ObserverPath:
 
 def _build_estimation(est: dict):
     channel = SensingChannel(squeezing_r=float(est["squeezing_r"]))
-    thetas = [float(t) for t in est["theta_rad"]]
+    thetas = [check_probe_angle(t) for t in est["theta_rad"]]
     if not thetas:
         raise DomainError("estimation.theta_rad must not be empty")
-    for t in thetas:
-        if not (0.0 <= t <= math.pi / 2.0):
-            raise DomainError(
-                f"estimation.theta_rad entries must lie in [0, pi/2], got {t!r}"
-            )
-    probe_count = int(est.get("probe_count", 1))
-    if probe_count < 1:
-        raise DomainError(f"probe_count must be >= 1, got {probe_count}")
-    return channel, thetas, probe_count
+    return channel, thetas, check_probe_count(est.get("probe_count", 1))
 
 
 _BLOCK_BUILDERS = {
@@ -242,70 +236,57 @@ _BLOCK_BUILDERS = {
     "emitter": _build_observer,
     "receiver": _build_observer,
     "photon": profile_from_record,
-    "sweep": lambda sweep: _check_sigma_grid(sweep["sigma_rad_s"]),
+    "sweep": lambda sweep: check_sigma_grid(sweep["sigma_rad_s"]),
     "estimation": _build_estimation,
 }
 
 
-def build_blocks(cfg: dict) -> dict:
+def _attempt(found: list, field: str, rule, *args):
+    """Result of ``rule(*args)``, or ``None`` with its DomainError put on ``found``."""
+    try:
+        return rule(*args)
+    except DomainError as exc:
+        found.append((field, exc))
+        return None
+
+
+def build_blocks(cfg: dict, found: list) -> dict:
     """Construct domain objects for every block present in the config.
 
     Unused blocks are built too: a config is either wholly valid or not,
-    independently of which task happens to reference a block.
+    independently of which task happens to reference a block.  A block that
+    fails is left out, its DomainError put on ``found`` as ``(field, error)``.
     """
     built = {}
     for name, builder in _BLOCK_BUILDERS.items():
         if name in cfg:
-            built[name] = builder(cfg[name])
-    return built
+            built[name] = _attempt(found, name, builder, cfg[name])
+    return {name: obj for name, obj in built.items() if obj is not None}
 
 
-def collect_violations(cfg: dict, task: str) -> list:
-    """Value-level violations as ``(field_path, error_class, message)``."""
+def collect_violations(cfg: dict, task: str) -> tuple[dict, list]:
+    """Plan a run: build every block, then resolve what the task needs.
+
+    Returns ``(plan, found)``: ``plan`` maps block names, and ``"redshift"``
+    for link tasks, to domain objects; ``found`` lists every DomainError met,
+    as ``(field, error)`` in the order a run meets them.
+    """
     found = []
-    built = {}
-    for name, builder in _BLOCK_BUILDERS.items():
-        if name not in cfg:
-            continue
-        try:
-            built[name] = builder(cfg[name])
-        except DomainError as exc:
-            found.append((name, type(exc).__name__, str(exc)))
-    if task in ("redshift", "overlap", "qber-sweep"):
-        emitter = built.get("emitter")
-        if emitter is not None and emitter.kind != "static":
-            found.append(
-                (
-                    "emitter",
-                    "DomainError",
-                    f"no redshift formula for emitter kind {emitter.kind!r}",
-                )
-            )
-        geometry = built.get("body")
-        if geometry is not None:
-            for name in ("emitter", "receiver"):
-                obs = built.get(name)
-                if obs is None:
-                    continue
-                try:
-                    if obs.kind == "static":
-                        geometry.lapse_squared(obs.radius_m)
-                    else:
-                        circular_orbit_angular_velocity(geometry, obs.radius_m)
-                except DomainError as exc:
-                    found.append((name, type(exc).__name__, str(exc)))
-    if task == "qber-sweep":
-        photon = built.get("photon")
-        if photon is not None and not isinstance(photon, GaussianProfile):
-            found.append(
-                (
-                    "photon",
-                    "DomainError",
-                    "bandwidth sweeps need an analytic width parameter; "
-                    f"got a {getattr(photon, 'kind', '?')} profile",
-                )
-            )
-    return found
+    plan = build_blocks(cfg, found)
+    link = "receiver" in _TASK_BLOCKS[task]
+    if link:
+        # kinds come from the config: check_structure vouches for them even
+        # where an observer block failed to build on its radius
+        kinds = (cfg["emitter"]["type"], cfg["receiver"]["type"])
+        _attempt(found, "emitter", check_redshift_pair, *kinds)
+        for name in ("emitter", "receiver"):
+            if "body" in plan and name in plan:
+                _attempt(found, name, clock_rate_squared, plan["body"], plan[name])
+    if task == "qber-sweep" and "photon" in plan:
+        _attempt(found, "photon", check_sweep_profile, plan["photon"])
+    if link and not found:
+        plan["redshift"] = redshift_between(plan["body"], plan["emitter"], plan["receiver"])
+    return plan, found
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +318,16 @@ def _map_rows(worker, arg_list, jobs: int):
         return list(pool.map(worker, arg_list))
 
 
-def execute_task(task: str, built: dict, *, jobs: int = 1, timings: bool = False):
-    """Compute the task's table; returns ``(columns, rows, summary)``."""
+def execute_task(task: str, plan: dict, *, jobs: int = 1, timings: bool = False):
+    """Compute the table of a violation-free plan; returns ``(columns, rows, summary)``."""
+    chi, profile = plan.get("redshift"), plan.get("photon")
     if task == "redshift":
-        chi = _redshift_between(built["body"], built["emitter"], built["receiver"])
         rows = [[chi.chi, chi.chi_squared, chi.z]]
         return REDSHIFT_CSV_COLUMNS, rows, f"chi={_fmt(chi.chi)}"
     if task == "overlap":
-        chi = _redshift_between(built["body"], built["emitter"], built["receiver"])
-        profile = built["photon"]
         shifted = redshift_transform(profile, chi)
         theta_val = overlap(profile, shifted)
-        mix_theta, mix_phi = mixing_angle(profile, shifted)
+        mix_theta, mix_phi = mixing_angle(theta_val)
         magnitude = min(abs(theta_val), 1.0)
         rows = [
             [
@@ -363,16 +342,9 @@ def execute_task(task: str, built: dict, *, jobs: int = 1, timings: bool = False
         ]
         return OVERLAP_CSV_COLUMNS, rows, f"overlap_mag={_fmt(magnitude)}"
     if task == "qber-sweep":
-        chi = _redshift_between(built["body"], built["emitter"], built["receiver"])
-        profile = built["photon"]
-        if not isinstance(profile, GaussianProfile):
-            raise DomainError(
-                "bandwidth sweeps need an analytic width parameter; "
-                f"got a {getattr(profile, 'kind', '?')} profile"
-            )
         args = [
             (profile.omega0_rad_s, s, profile.phase_rad, chi.chi)
-            for s in built["sweep"]
+            for s in plan["sweep"]
         ]
         rows = _map_rows(_qber_row, args, jobs)
         qbers = [row[4] for row in rows]
@@ -381,7 +353,7 @@ def execute_task(task: str, built: dict, *, jobs: int = 1, timings: bool = False
         )
         return QBER_SWEEP_CSV_COLUMNS, rows, summary
     if task == "qfi-sweep":
-        channel, thetas, probe_count = built["estimation"]
+        channel, thetas, probe_count = plan["estimation"]
         args = [(channel.squeezing_r, t, probe_count, timings) for t in thetas]
         rows = _map_rows(_qfi_row, args, jobs)
         qfis = [row[1] for row in rows]
@@ -450,9 +422,11 @@ def _cmd_run(args) -> int:
     t_start = time.perf_counter()
     cfg = load_config(args.config)
     task = check_structure(cfg)
-    built = build_blocks(cfg)
+    plan, found = collect_violations(cfg, task)
+    if found:
+        raise found[0][1]
     columns, rows, summary = execute_task(
-        task, built, jobs=args.jobs, timings=args.timings
+        task, plan, jobs=args.jobs, timings=args.timings
     )
     out_cfg = cfg.get("output", {})
     path = args.output if args.output is not None else out_cfg.get("path")
@@ -470,11 +444,11 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     task = check_structure(cfg)
-    violations = collect_violations(cfg, task)
-    for field_path, err_class, message in violations:
-        sys.stdout.write(f"{field_path}: {err_class}: {message}\n")
-    sys.stderr.write(f"task={task} violations={len(violations)}\n")
-    return 0 if not violations else 3
+    _, found = collect_violations(cfg, task)
+    for field_path, exc in found:
+        sys.stdout.write(f"{field_path}: {type(exc).__name__}: {exc}\n")
+    sys.stderr.write(f"task={task} violations={len(found)}\n")
+    return 0 if not found else 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

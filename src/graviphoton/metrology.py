@@ -51,6 +51,9 @@ class FidelityInputs:
     def __init__(self, sigma_a, sigma_b):
         a = GaussianState(np.zeros(np.shape(sigma_a)[0]), sigma_a)
         b = GaussianState(np.zeros(np.shape(sigma_b)[0]), sigma_b)
+        self._take(a, b)
+
+    def _take(self, a: GaussianState, b: GaussianState):
         if a.n_modes != b.n_modes:
             raise DimensionMismatch(
                 f"covariances act on {a.n_modes} and {b.n_modes} modes"
@@ -67,7 +70,10 @@ class FidelityInputs:
                 raise DomainError(
                     f"fidelity requires vanishing first moments, found |d| up to {drift:.3e}"
                 )
-        return cls(a.covariance, b.covariance)
+        # the states were validated when built, so their matrices are used as is
+        pair = cls.__new__(cls)
+        pair._take(a, b)
+        return pair
 
 
 def _single_mode_fidelity(sa: np.ndarray, sb: np.ndarray) -> float:
@@ -166,11 +172,17 @@ class EstimationReport:
     step_used: float
 
 
-def cramer_rao_bound(qfi: float, probe_count: int = 1) -> float:
-    """Lower bound ``1 / (probe_count * qfi)`` on the estimator variance."""
+def check_probe_count(probe_count: int) -> int:
+    """``probe_count`` as an int, if at least one probe is sent."""
     probe_count = int(probe_count)
     if probe_count < 1:
         raise DomainError(f"probe_count must be >= 1, got {probe_count}")
+    return probe_count
+
+
+def cramer_rao_bound(qfi: float, probe_count: int = 1) -> float:
+    """Lower bound ``1 / (probe_count * qfi)`` on the estimator variance."""
+    probe_count = check_probe_count(probe_count)
     qfi = float(qfi)
     if not math.isfinite(qfi) or qfi < 0.0:
         raise DomainError(f"qfi must be finite and >= 0, got {qfi!r}")
@@ -233,22 +245,23 @@ class SensingChannel:
 
     A two-mode squeezed pair (modes ``b1, b2``) meets two vacuum ports
     (``c1, c2``) on a pair of beamsplitters with angles ``theta1`` and
-    ``theta2``; the ``c`` ports are discarded.  Angles live in ``[0, pi/2]``.
+    ``theta2``, the arguments of the map :func:`build_sensing_channel` returns;
+    the ``c`` ports are discarded.  Angles live in ``[0, pi/2]``.
     """
 
     squeezing_r: float
-    theta1: float = 0.0
-    theta2: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(float(self.squeezing_r)):
             raise DomainError("squeezing_r must be finite")
-        for name in ("theta1", "theta2"):
-            val = float(getattr(self, name))
-            if not (0.0 <= val <= math.pi / 2.0):
-                raise DomainError(
-                    f"{name} must lie in [0, pi/2], got {val!r}"
-                )
+
+
+def check_probe_angle(theta: float) -> float:
+    """``theta`` as a float, if it lies in the tap range ``[0, pi/2]``."""
+    theta = float(theta)
+    if not (0.0 <= theta <= math.pi / 2.0):
+        raise DomainError(f"probe angle must lie in [0, pi/2], got {theta!r}")
+    return theta
 
 
 def build_sensing_channel(channel: SensingChannel):
@@ -266,10 +279,7 @@ def build_sensing_channel(channel: SensingChannel):
     def apply(theta1: float, theta2: float | None = None) -> GaussianState:
         if theta2 is None:
             theta2 = theta1
-        for name, val in (("theta1", theta1), ("theta2", theta2)):
-            val = float(val)
-            if not (0.0 <= val <= math.pi / 2.0):
-                raise DomainError(f"{name} must lie in [0, pi/2], got {val!r}")
+        theta1, theta2 = check_probe_angle(theta1), check_probe_angle(theta2)
         taps = embed_symplectic(gate_beamsplitter(theta1), 4, (0, 2)) @ embed_symplectic(
             gate_beamsplitter(theta2), 4, (1, 3)
         )

@@ -24,8 +24,7 @@ from .spacetime import (
     ObserverPath,
     RedshiftFactor,
     SchwarzschildGeometry,
-    redshift_static_orbit,
-    redshift_static_static,
+    redshift_between,
 )
 from .wavepacket import GaussianProfile, overlap, redshift_transform
 
@@ -82,25 +81,23 @@ class QberReport:
             raise DomainError(f"qber {self.qber!r} outside [0, 0.5]")
 
 
-def _redshift_between(
-    geometry: SchwarzschildGeometry, emitter: ObserverPath, receiver: ObserverPath
-) -> RedshiftFactor:
-    if emitter.kind == "static" and receiver.kind == "static":
-        return redshift_static_static(geometry, emitter.radius_m, receiver.radius_m)
-    if emitter.kind == "static" and receiver.kind == "orbit":
-        return redshift_static_orbit(geometry, emitter.radius_m, receiver.radius_m)
-    raise DomainError(
-        f"no redshift formula for emitter kind {emitter.kind!r} "
-        f"with receiver kind {receiver.kind!r}"
-    )
-
-
 def link_redshift(scenario: LinkScenario) -> RedshiftFactor:
     """Redshift factor between the scenario's emitter and receiver."""
-    return _redshift_between(scenario.geometry, scenario.emitter, scenario.receiver)
+    return redshift_between(scenario.geometry, scenario.emitter, scenario.receiver)
 
 
-def _check_sigma_grid(sigma_grid) -> list[float]:
+def check_sweep_profile(profile) -> GaussianProfile:
+    """Return ``profile`` if its width can be swept; only a Gaussian has one."""
+    if not isinstance(profile, GaussianProfile):
+        raise DomainError(
+            "bandwidth sweeps need an analytic width parameter; "
+            f"got a {getattr(profile, 'kind', '?')} profile"
+        )
+    return profile
+
+
+def check_sigma_grid(sigma_grid) -> list[float]:
+    """Sweep widths as floats; non-empty, finite, positive and strictly increasing."""
     sigmas = [float(s) for s in sigma_grid]
     if not sigmas:
         raise DomainError("sigma_grid must not be empty")
@@ -164,13 +161,8 @@ def qber_bandwidth_sweep(
     Gaussian shape.  The redshift factor is evaluated once for the whole
     sweep.
     """
-    base = scenario.profile
-    if not isinstance(base, GaussianProfile):
-        raise DomainError(
-            "bandwidth sweeps need an analytic width parameter; "
-            f"got a {getattr(base, 'kind', '?')} profile"
-        )
-    sigmas = _check_sigma_grid(sigma_grid)
+    base = check_sweep_profile(scenario.profile)
+    sigmas = check_sigma_grid(sigma_grid)
     chi = link_redshift(scenario)
     efficiency = _check_efficiency(efficiency)
     return [

@@ -177,6 +177,37 @@ def redshift_static_orbit(
     return RedshiftFactor(math.sqrt(chi_sq))
 
 
+def clock_rate_squared(geometry: SchwarzschildGeometry, observer: ObserverPath) -> float:
+    """Squared rate ``(dtau/dt)**2`` of the observer's clock against coordinate time.
+
+    ``1 - r_s / r`` for a static observer and ``1 - 3 G M / (c**2 r)`` on a
+    circular orbit; :class:`HorizonError` or :class:`OrbitDomainError` where
+    no such worldline exists at the observer's radius.
+    """
+    if observer.kind == "static":
+        return geometry.lapse_squared(observer.radius_m)
+    return _orbit_factor(geometry, observer.radius_m)
+
+
+def check_redshift_pair(emitter_kind: str, receiver_kind: str) -> None:
+    """Raise :class:`DomainError` unless the pair has a formula: a static emitter."""
+    if emitter_kind != "static":
+        raise DomainError(
+            f"no redshift formula for emitter kind {emitter_kind!r} "
+            f"with receiver kind {receiver_kind!r}"
+        )
+
+
+def redshift_between(
+    geometry: SchwarzschildGeometry, emitter: ObserverPath, receiver: ObserverPath
+) -> RedshiftFactor:
+    """Frequency factor from ``emitter`` to ``receiver``, for any supported pair."""
+    check_redshift_pair(emitter.kind, receiver.kind)
+    if receiver.kind == "static":
+        return redshift_static_static(geometry, emitter.radius_m, receiver.radius_m)
+    return redshift_static_orbit(geometry, emitter.radius_m, receiver.radius_m)
+
+
 def static_proper_acceleration(geometry: SchwarzschildGeometry, radius_m: float) -> float:
     """Radial acceleration ``G M / r**2`` needed to hover at ``radius_m``.
 

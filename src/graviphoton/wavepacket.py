@@ -108,23 +108,9 @@ class SampledGridProfile:
     kind = "grid"
 
     def __init__(self, omega_rad_s, amplitude, phase_rad: float = 0.0):
-        omega = np.asarray(omega_rad_s, dtype=float)
-        amp = np.asarray(amplitude, dtype=complex)
-        if omega.ndim != 1 or omega.size < 4:
-            raise DomainError("frequency grid must be one dimensional with >= 4 nodes")
-        if amp.shape != omega.shape:
-            raise DomainError(
-                f"amplitude shape {amp.shape} does not match grid shape {omega.shape}"
-            )
-        if not np.all(np.isfinite(omega)) or not np.all(np.isfinite(amp)):
-            raise DomainError("grid nodes and amplitudes must be finite")
-        if omega[0] < 0.0:
-            raise DomainError("frequency grid must be non-negative")
-        if not np.all(np.diff(omega) > 0.0):
-            raise DomainError("frequency grid must be strictly increasing")
-        if not math.isfinite(float(phase_rad)):
-            raise DomainError(f"phase_rad must be finite, got {phase_rad!r}")
+        omega, amp = _check_samples(omega_rad_s, amplitude, phase_rad)
         self._init_from_offsets(float(omega[0]), omega - omega[0], amp, float(phase_rad))
+        self._check_norm()
 
     def _init_from_offsets(self, base, du, amp, phase_rad):
         # The grid is held as a base frequency plus small offsets and the
@@ -136,6 +122,8 @@ class SampledGridProfile:
         self._amp = amp
         self.phase_rad = phase_rad
         self._spline = CubicSpline(du, amp, extrapolate=False)
+
+    def _check_norm(self):
         nrm = l2_norm(self)
         if abs(nrm - 1.0) > NORM_TOL:
             raise NormalizationError(
@@ -145,33 +133,23 @@ class SampledGridProfile:
     @classmethod
     def from_samples(cls, omega_rad_s, amplitude, phase_rad: float = 0.0):
         """Build a profile from raw samples, rescaling to unit norm."""
-        omega = np.asarray(omega_rad_s, dtype=float)
-        amp = np.asarray(amplitude, dtype=complex)
-        if omega.ndim != 1 or omega.size < 4:
-            raise DomainError("frequency grid must be one dimensional with >= 4 nodes")
-        if amp.shape != omega.shape:
-            raise DomainError("amplitude array must match the frequency grid shape")
-        if not np.all(np.isfinite(omega)) or not np.all(np.isfinite(amp)):
-            raise DomainError("grid nodes and amplitudes must be finite")
-        if not np.all(np.diff(omega) > 0.0) or omega[0] < 0.0:
-            raise DomainError("frequency grid must be non-negative and increasing")
+        omega, amp = _check_samples(omega_rad_s, amplitude, phase_rad)
         du = omega - omega[0]
         # bring arbitrary sample scales near unit norm first, so the absolute
         # quadrature tolerance below stays meaningful for any input scaling
         rough = math.sqrt(float(np.trapezoid(np.abs(amp) ** 2, du)))
         if rough <= 0.0 or not math.isfinite(rough):
             raise DomainError("samples have no usable L2 norm")
-        amp = amp / rough
-        trial = cls.__new__(cls)
-        trial._base = float(omega[0])
-        trial._du = du
-        trial._amp = amp
-        trial.phase_rad = float(phase_rad)
-        trial._spline = CubicSpline(trial._du, amp, extrapolate=False)
-        nrm = l2_norm(trial)
+        out = cls.__new__(cls)
+        out._init_from_offsets(float(omega[0]), du, amp / rough, float(phase_rad))
+        nrm = l2_norm(out)
         if nrm <= 0.0 or not math.isfinite(nrm):
             raise DomainError("samples have no usable L2 norm")
-        return cls(omega, amp / nrm, phase_rad)
+        # the spline is linear in its data: dividing its coefficients
+        # normalizes it without a second fit or a second norm integral
+        out._amp = out._amp / nrm
+        out._spline.c /= nrm
+        return out
 
     @classmethod
     def _rescaled(cls, other, scale):
@@ -188,6 +166,7 @@ class SampledGridProfile:
             other._amp * math.sqrt(scale),
             other.phase_rad,
         )
+        out._check_norm()
         return out
 
     @property
@@ -216,6 +195,28 @@ class SampledGridProfile:
 
     def interior_points(self):
         return ()
+
+
+def _check_samples(omega_rad_s, amplitude, phase_rad):
+    """Grid nodes and amplitudes as arrays, after the checks on outside input."""
+    omega = np.asarray(omega_rad_s, dtype=float)
+    amp = np.asarray(amplitude, dtype=complex)
+    if omega.ndim != 1 or omega.size < 4:
+        raise DomainError("frequency grid must be one dimensional with >= 4 nodes")
+    if amp.shape != omega.shape:
+        raise DomainError(
+            f"amplitude shape {amp.shape} does not match "
+            f"the frequency grid shape {omega.shape}"
+        )
+    if not np.all(np.isfinite(omega)) or not np.all(np.isfinite(amp)):
+        raise DomainError("grid nodes and amplitudes must be finite")
+    if omega[0] < 0.0:
+        raise DomainError("frequency grid must be non-negative")
+    if not np.all(np.diff(omega) > 0.0):
+        raise DomainError("frequency grid must be strictly increasing")
+    if not math.isfinite(float(phase_rad)):
+        raise DomainError(f"phase_rad must be finite, got {phase_rad!r}")
+    return omega, amp
 
 
 def _quad_window(a, b):
@@ -374,15 +375,6 @@ def l2_norm(profile) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def _chi_value(chi) -> float:
-    if isinstance(chi, RedshiftFactor):
-        chi = chi.chi
-    chi = float(chi)
-    if not math.isfinite(chi) or chi <= 0.0:
-        raise DomainError(f"chi must be finite and positive, got {chi!r}")
-    return chi
-
-
 def redshift_transform(profile, chi):
     """Image of a spectral amplitude under the frequency factor ``chi``.
 
@@ -391,7 +383,7 @@ def redshift_transform(profile, chi):
     their tabulated values and rescale their nodes, both exactly norm
     preserving.  ``chi`` may be a float or a :class:`RedshiftFactor`.
     """
-    c = _chi_value(chi)
+    c = (chi if isinstance(chi, RedshiftFactor) else RedshiftFactor(chi)).chi
     if c == 1.0:
         return profile
     c2 = c * c
@@ -404,15 +396,14 @@ def redshift_transform(profile, chi):
     raise DomainError(f"unsupported profile type {type(profile).__name__!r}")
 
 
-def mixing_angle(expected, received):
+def mixing_angle(overlap_value: complex):
     """Beamsplitter angles ``(theta, phi)`` equivalent to an imperfect overlap.
 
-    ``cos(theta)`` equals the overlap magnitude between the expected and the
-    received amplitude; the relative phase ``phi`` is fixed to zero by
-    convention (constant phases drop out of the magnitude).
+    ``cos(theta)`` equals the magnitude of ``overlap_value``, the overlap
+    ``<expected, received>`` of :func:`overlap`; the relative phase ``phi`` is
+    fixed to zero by convention (constant phases drop out of the magnitude).
     """
-    mag = abs(overlap(expected, received))
-    theta = math.acos(min(mag, 1.0))
+    theta = math.acos(min(abs(overlap_value), 1.0))
     return theta, 0.0
 
 

@@ -302,12 +302,42 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
     bad_domain = config_for("qber-sweep")
     bad_domain["sweep"]["sigma_rad_s"] = [2.0 * SIG, SIG]
     corpus.append(("unsorted-grid", bad_domain, 3))
+    orbit_emitter = config_for("redshift")
+    orbit_emitter["emitter"] = {"type": "orbit", "radius_m": EARTH_RADIUS_M + 4.0e5}
+    corpus.append(("orbit-emitter", orbit_emitter, 3))
+    small_body = {"task": "redshift", "body": {"r_s_m": 1000.0}}
+    corpus.append((
+        "low-orbit-emitter-receiver-inside-horizon",
+        {
+            **small_body,
+            "emitter": {"type": "orbit", "radius_m": 1400.0},
+            "receiver": {"type": "static", "radius_m": 900.0},
+        },
+        3,
+    ))
+    corpus.append((
+        "emitter-inside-horizon-low-orbit-receiver",
+        {
+            **small_body,
+            "emitter": {"type": "static", "radius_m": 900.0},
+            "receiver": {"type": "orbit", "radius_m": 1400.0},
+        },
+        3,
+    ))
+    unused_block = config_for("qfi-sweep")
+    unused_block["emitter"] = {"type": "static", "radius_m": -1.0}
+    corpus.append(("invalid-unused-emitter", unused_block, 3))
     for name, cfg, expected in corpus:
         path = write_config(tmp_path, cfg, f"{name}.json")
-        val_code, _, _ = run_cli(capsys, ["validate", path])
-        run_code, _, _ = run_cli(capsys, ["run", path, "--output", str(tmp_path / "out.csv")])
+        val_code, val_out, _ = run_cli(capsys, ["validate", path])
+        run_code, _, run_err = run_cli(
+            capsys, ["run", path, "--output", str(tmp_path / "out.csv")]
+        )
         assert val_code == expected, name
         assert run_code == expected, name
+        if expected == 3:
+            first_class = val_out.splitlines()[0].split(": ")[1]
+            assert json.loads(run_err)["error"] == first_class, name
 
 
 def test_console_script_is_installed(tmp_path):

@@ -187,10 +187,6 @@ def test_estimation_report_is_frozen():
 
 
 def test_sensing_channel_validation():
-    with pytest.raises(DomainError, match="theta1"):
-        SensingChannel(0.3, theta1=-0.1)
-    with pytest.raises(DomainError, match="theta2"):
-        SensingChannel(0.3, theta2=2.0)
     with pytest.raises(DomainError):
         SensingChannel(math.inf)
     _, tap = build_sensing_channel(SensingChannel(0.3))

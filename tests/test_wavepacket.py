@@ -167,11 +167,11 @@ def test_grid_profile_rejects_unnormalized_direct_input():
 
 def test_mixing_angle_limits():
     f = GaussianProfile(W0, SIG)
-    theta, phi = mixing_angle(f, f)
+    theta, phi = mixing_angle(overlap(f, f))
     assert theta < 2e-5  # acos near 1 is sqrt-sensitive to quadrature noise
     assert phi == 0.0
     far = GaussianProfile(W0 + 40.0 * SIG, SIG)
-    theta, _ = mixing_angle(f, far)
+    theta, _ = mixing_angle(overlap(f, far))
     assert math.isclose(theta, math.pi / 2.0, rel_tol=1e-6)
 
 
@@ -179,7 +179,7 @@ def test_mixing_angle_matches_overlap():
     # chi pulls the carrier by ~0.9 widths, so the overlap is mid-range
     f = GaussianProfile(W0, SIG)
     g = redshift_transform(f, 1.0000000001)
-    theta, _ = mixing_angle(f, g)
+    theta, _ = mixing_angle(overlap(f, g))
     assert math.isclose(math.cos(theta), abs(overlap(f, g)), rel_tol=1e-9)
     assert 0.2 < math.cos(theta) < 0.95
 
