@@ -40,7 +40,7 @@ class NumericalError(GraviphotonError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive integration exhausted its budget or error estimate."""
+    """Panel quadrature of a tabulated profile exceeded its budget or error estimate."""
 
 
 class NonPhysicalState(NumericalError):

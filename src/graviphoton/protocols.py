@@ -119,8 +119,8 @@ def _check_efficiency(efficiency: float) -> float:
 def qber_at_chi(profile, chi, efficiency: float = 1.0, sigma_rad_s=None) -> QberReport:
     """Error report for a given profile and redshift factor.
 
-    ``chi == 1`` bypasses the quadrature: the photons are identical, so the
-    overlap magnitude is exactly one.
+    ``chi == 1`` skips the transform and the overlap: the photons are
+    identical, so the overlap magnitude is exactly one.
     """
     efficiency = _check_efficiency(efficiency)
     if not isinstance(chi, RedshiftFactor):

@@ -1,6 +1,10 @@
-"""Modules of the package use each other only through public names."""
+"""Modules of the package use each other only through public names, and
+importing the package loads no adaptive integrator."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import graviphoton
@@ -26,3 +30,19 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(modules) > 5
     found = [line for path in modules for line in _private_imports(path)]
     assert found == []
+
+
+def test_import_loads_no_adaptive_integrator():
+    # Gaussian overlaps are closed form and tabulated ones use the package's
+    # own panel rule, so importing the package must not pull in scipy.integrate
+    probe = (
+        "import sys, graviphoton; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'integrate']))"
+    )
+    pythonpath = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -67,12 +67,42 @@ def test_equal_width_shifted_overlap():
     assert math.isclose(abs(overlap(f, g)), ref, rel_tol=1e-10)
 
 
+def _seeded_gaussian_pairs(count, seed=20140804):
+    """Gaussian pairs spanning optical carriers, bandwidths and detunings."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        w0 = 10.0 ** rng.uniform(14.5, 15.6)
+        s1 = w0 / 10.0 ** rng.uniform(1.2, 9.0)
+        s2 = s1 * 10.0 ** rng.uniform(-0.5, 0.5)
+        ph1 = rng.uniform(-math.pi, math.pi)
+        ph2 = ph1 if len(pairs) % 2 else rng.uniform(-math.pi, math.pi)
+        try:
+            f = GaussianProfile(w0, s1, ph1)
+            g = GaussianProfile(w0 + rng.uniform(-6.0, 6.0) * s1, s2, ph2)
+        except DomainError:  # a draw too wide for its carrier; draw again
+            continue
+        pairs.append((f, g))
+    return pairs
+
+
 def test_overlap_against_reference():
     f = GaussianProfile(W0, SIG)
     g = GaussianProfile(W0 + 0.7 * SIG, 1.9 * SIG)
     ref = hp.as_float(hp.gaussian_overlap(W0, SIG, W0 + 0.7 * SIG, 1.9 * SIG))
     assert math.isclose(overlap(f, g).real, ref, rel_tol=1e-10)
     assert abs(overlap(f, g).imag) < 1e-12
+    # magnitude to 1e-14 relative against 60 digits on the stored float
+    # parameters, and the phase e^{i(phi_g - phi_f)}, exactly real when equal
+    for f, g in _seeded_gaussian_pairs(300):
+        val = overlap(f, g)
+        ref = hp.as_float(
+            hp.gaussian_overlap(f.omega0_rad_s, f.sigma_rad_s, g.omega0_rad_s, g.sigma_rad_s)
+        )
+        assert math.isclose(abs(val), ref, rel_tol=1e-14), (f, g)
+        assert abs(val / abs(val) - cmath.exp(1j * (g.phase_rad - f.phase_rad))) < 1e-14
+        if f.phase_rad == g.phase_rad:
+            assert val.imag == 0.0
 
 
 def test_overlap_conjugate_symmetry():
