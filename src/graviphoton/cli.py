@@ -30,9 +30,8 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from .errors import ConfigParseError, DomainError, GraviphotonError, NumericalError
+from .errors import ConfigParseError, DomainError, GraviphotonError
 from .metrology import (
     QFI_SWEEP_CSV_COLUMNS,
     SensingChannel,
@@ -314,7 +313,11 @@ def _qfi_row(args):
 def _map_rows(worker, arg_list, jobs: int):
     if jobs <= 1 or len(arg_list) <= 1:
         return [worker(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool pulls in multiprocessing, so serial runs never import it; it
+    # starts every worker up front, so start no more than there are rows
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(arg_list))) as pool:
         return list(pool.map(worker, arg_list))
 
 
@@ -490,8 +493,6 @@ def main(argv=None) -> int:
             return 2
         if isinstance(exc, DomainError):
             return 3
-        if isinstance(exc, NumericalError):
-            return 4
         return 4
 
 

@@ -10,6 +10,9 @@ A Gaussian state carries first moments ``d = (<a_1> .. <a_N>, c.c.)`` and the
 covariance matrix ``sigma_nm = <X_n X_m^+ + X_m^+ X_n> - 2 <X_n><X_m^+>``,
 normalized so the vacuum has ``sigma = 1``.  Evolution acts as
 ``d -> S d`` and ``sigma -> S sigma S^+``.
+
+Everything here is closed-form numpy; only :func:`symplectic_from_hamiltonian`
+needs scipy (for ``expm``), and imports it when called.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ConfigParseError,
@@ -457,6 +459,8 @@ def symplectic_from_hamiltonian(
     hamiltonian: QuadraticHamiltonian, t: float
 ) -> SymplecticMatrix:
     """Evolution ``exp(Omega H t)`` of a quadratic generator for time ``t``."""
+    from scipy.linalg import expm
+
     t = float(t)
     if not math.isfinite(t):
         raise DomainError("evolution time must be finite")

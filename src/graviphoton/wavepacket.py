@@ -9,7 +9,9 @@ observers with frequency factor ``chi`` acts as
 which preserves the L2 norm exactly.  Overlaps between amplitudes are plain
 L2 inner products, ``<F, G> = integral conj(F(w)) G(w) dw``: in closed form
 for two Gaussians, by panel Gauss quadrature with a checked error estimate
-as soon as a tabulated profile is involved.
+as soon as a tabulated profile is involved.  Only tabulated profiles need
+scipy (for their cubic spline); it is imported when the first one is built,
+so Gaussian-only use never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigParseError, DomainError, NormalizationError, QuadratureError
 from .spacetime import RedshiftFactor
@@ -116,6 +117,8 @@ class SampledGridProfile:
         # spline lives in offset coordinates, so evaluation and rescaling
         # keep full precision at optical frequencies where one ULP of the
         # absolute node value can rival a narrow bandwidth.
+        from scipy.interpolate import CubicSpline  # slow to import; grid-only
+
         self._base = base
         self._du = du
         self._amp = amp

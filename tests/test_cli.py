@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.metadata
 import json
 import math
@@ -230,6 +231,36 @@ def test_worker_pool_matches_serial_run(tmp_path, capsys):
             capsys, ["run", path, "--output", str(pooled), "--jobs", "2"]
         )[0] == 0
         assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_worker_pool_starts_at_most_one_worker_per_row(tmp_path, capsys, monkeypatch):
+    # ProcessPoolExecutor starts all of its workers up front, so a stub
+    # stands in for it: it records the pool size and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # a module-level import of the executor must not reach the real pool either
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool, raising=False)
+    golden = Path(__file__).parent / "golden"
+    cfg = golden / "qber-sweep.json"
+    rows = len(json.loads(cfg.read_text())["sweep"]["sigma_rad_s"])
+    out = tmp_path / "pooled.csv"
+    assert run_cli(capsys, ["run", str(cfg), "--output", str(out), "--jobs", "64"])[0] == 0
+    assert sizes and all(size <= rows for size in sizes)
+    assert out.read_bytes() == (golden / "qber-sweep.expected.csv").read_bytes()
 
 
 def test_qber_rows_match_library_results(tmp_path, capsys):

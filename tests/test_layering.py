@@ -1,7 +1,9 @@
 """Modules of the package use each other only through public names, and
-importing the package loads no adaptive integrator."""
+importing the package or running the CLI on Gaussian configs loads neither
+scipy nor a process pool."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import graviphoton
 
 PACKAGE = Path(graviphoton.__file__).resolve().parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _private_imports(path):
@@ -32,6 +35,17 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def _child(probe, *args):
+    pythonpath = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
 def test_import_loads_no_adaptive_integrator():
     # Gaussian overlaps are closed form and tabulated ones use the package's
     # own panel rule, so importing the package must not pull in scipy.integrate
@@ -39,10 +53,26 @@ def test_import_loads_no_adaptive_integrator():
         "import sys, graviphoton; "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'integrate']))"
     )
-    pythonpath = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    assert _child(probe) == "[]"
+
+
+def test_gaussian_cli_runs_load_no_scipy_or_process_pool(tmp_path):
+    # scipy is only needed by tabulated photons and symplectic_from_hamiltonian,
+    # and the process pool only by --jobs, so neither importing the CLI nor a
+    # serial run or validate of the Gaussian goldens may load them
+    probe = (
+        "import json, sys, graviphoton, graviphoton.cli as cli\n"
+        "out = sys.argv[1]\n"
+        "codes = []\n"
+        "for cfg in sys.argv[2:]:\n"
+        "    codes.append(cli.main(['run', cfg, '--output', out]))\n"
+        "    codes.append(cli.main(['validate', cfg]))\n"
+        "loaded = sorted(m for m in sys.modules if m == 'concurrent.futures.process'\n"
+        "                or m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    tasks = ("redshift", "overlap", "qber-sweep", "qfi-sweep")
+    configs = [str(GOLDEN / f"{task}.json") for task in tasks]
+    codes, loaded = json.loads(_child(probe, str(tmp_path / "table.out"), *configs))
+    assert codes == [0] * 2 * len(tasks)
+    assert loaded == []
