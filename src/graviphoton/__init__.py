@@ -63,27 +63,20 @@ from .spacetime import (
 )
 from .symplectic import (
     GaussianState,
-    QuadraticHamiltonian,
     SymplecticMatrix,
     apply_symplectic,
     embed_symplectic,
     gate_beamsplitter,
     gate_single_mode_squeezer,
     gate_two_mode_squeezer,
-    givens_unitary,
     mean_photon_number,
     mode_mixer_from_overlap,
     partial_trace,
     passive_symplectic,
     state_coherent,
-    state_from_record,
     state_thermal,
-    state_to_record,
     state_vacuum,
     symplectic_form,
-    symplectic_from_hamiltonian,
-    symplectic_from_record,
-    symplectic_to_record,
     tensor_product,
     thermal_occupation,
     tritter,

@@ -92,6 +92,16 @@ def _reject_constant(token):
     raise ConfigParseError(f"non-finite literal {token!r} is not allowed in configs")
 
 
+def _parse_int(token):
+    # float() of the decimal string rounds to inf exactly where float() of the
+    # int would overflow, and it has no digit limit
+    if math.isinf(float(token)):
+        raise ConfigParseError(
+            f"integer literal of {len(token.lstrip('-'))} digits is too large for a float"
+        )
+    return int(token)
+
+
 def load_config(path: str) -> dict:
     """Read and JSON-decode a config file; any failure is a parse error."""
     try:
@@ -100,7 +110,7 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigParseError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        cfg = json.loads(text, parse_constant=_reject_constant)
+        cfg = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):

@@ -11,8 +11,7 @@ covariance matrix ``sigma_nm = <X_n X_m^+ + X_m^+ X_n> - 2 <X_n><X_m^+>``,
 normalized so the vacuum has ``sigma = 1``.  Evolution acts as
 ``d -> S d`` and ``sigma -> S sigma S^+``.
 
-Everything here is closed-form numpy; only :func:`symplectic_from_hamiltonian`
-needs scipy (for ``expm``), and imports it when called.
+Everything here is closed-form numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import math
 import numpy as np
 
 from .errors import (
-    ConfigParseError,
     DimensionMismatch,
     DomainError,
     NonPhysicalState,
@@ -110,45 +108,8 @@ class SymplecticMatrix:
             )
         return SymplecticMatrix(self._matrix @ other._matrix)
 
-    def inverse(self) -> "SymplecticMatrix":
-        """Closed-form inverse ``[[A^+, -B^T], [-B^+, A^T]]``."""
-        a, b = self.alpha, self.beta
-        top = np.hstack([a.conj().T, -b.T])
-        bot = np.hstack([-b.conj().T, a.T])
-        return SymplecticMatrix(np.vstack([top, bot]))
-
     def __repr__(self):
         return f"SymplecticMatrix(n_modes={self.n_modes}, residual={self.residual:.2e})"
-
-
-class QuadraticHamiltonian:
-    """Quadratic generator ``[[U, V], [conj(V), conj(U)]]``.
-
-    ``U`` must be Hermitian and ``V`` symmetric, which makes ``exp(Omega H t)``
-    symplectic for every real ``t``.
-    """
-
-    def __init__(self, matrix, *, atol: float = STRUCTURE_TOL):
-        arr, n = _as_square_even(matrix, "quadratic Hamiltonian")
-        u, v = arr[:n, :n], arr[:n, n:]
-        worst = max(
-            np.max(np.abs(u - u.conj().T)),
-            np.max(np.abs(v - v.T)),
-            np.max(np.abs(arr[n:, :n] - v.conj())),
-            np.max(np.abs(arr[n:, n:] - u.conj())),
-        )
-        if worst > atol:
-            raise DomainError(
-                f"quadratic Hamiltonian violates its block symmetry (deviation {worst:.3e})"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self._matrix = arr
-        self.n_modes = n
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
 
 
 class GaussianState:
@@ -388,24 +349,6 @@ def passive_symplectic(unitary) -> SymplecticMatrix:
     return SymplecticMatrix(s)
 
 
-def givens_unitary(
-    n_modes: int, mode_i: int, mode_j: int, theta: float, phi: float = 0.0
-) -> np.ndarray:
-    """Unitary rotating modes ``i`` and ``j`` by a complex Givens block."""
-    n_modes = int(n_modes)
-    if not (0 <= mode_i < n_modes and 0 <= mode_j < n_modes) or mode_i == mode_j:
-        raise DimensionMismatch(
-            f"invalid mode pair ({mode_i}, {mode_j}) for {n_modes} modes"
-        )
-    c, sn = math.cos(theta), math.sin(theta)
-    u = np.eye(n_modes, dtype=complex)
-    u[mode_i, mode_i] = c
-    u[mode_i, mode_j] = np.exp(1j * phi) * sn
-    u[mode_j, mode_i] = -np.exp(-1j * phi) * sn
-    u[mode_j, mode_j] = c
-    return u
-
-
 def tritter(theta12: float, theta23: float, theta13: float, delta: float) -> np.ndarray:
     """Three-mode mixing unitary in the standard three-angle, one-phase form.
 
@@ -453,83 +396,3 @@ def embed_symplectic(gate: SymplecticMatrix, n_total: int, modes) -> SymplecticM
             big[n_total + mi, mj] = b[i, j].conjugate()
             big[n_total + mi, n_total + mj] = a[i, j].conjugate()
     return SymplecticMatrix(big)
-
-
-def symplectic_from_hamiltonian(
-    hamiltonian: QuadraticHamiltonian, t: float
-) -> SymplecticMatrix:
-    """Evolution ``exp(Omega H t)`` of a quadratic generator for time ``t``."""
-    from scipy.linalg import expm
-
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError("evolution time must be finite")
-    n = hamiltonian.n_modes
-    raw = expm(symplectic_form(n) @ hamiltonian.matrix * t)
-    try:
-        return SymplecticMatrix(raw)
-    except DomainError as exc:
-        raise NumericalError(
-            f"matrix exponential lost the symplectic structure: {exc}"
-        ) from exc
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _array_to_record(arr: np.ndarray) -> dict:
-    flat = arr.ravel(order="C")
-    data = []
-    for z in flat:
-        data.append(float(z.real))
-        data.append(float(z.imag))
-    return {"shape": [int(s) for s in arr.shape], "data": data}
-
-
-def _array_from_record(rec, what: str) -> np.ndarray:
-    try:
-        shape = tuple(int(s) for s in rec["shape"])
-        values = np.asarray(rec["data"], dtype=float).reshape(-1)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"malformed {what} record: {exc}") from exc
-    count = 1
-    for s in shape:
-        count *= s
-    if values.size != 2 * count:
-        raise ConfigParseError(
-            f"{what} record holds {values.size} scalars, expected {2 * count}"
-        )
-    return (values[0::2] + 1j * values[1::2]).reshape(shape)
-
-
-def state_to_record(state: GaussianState) -> dict:
-    return {
-        "kind": "gaussian_state",
-        "first_moments": _array_to_record(state.first_moments),
-        "covariance": _array_to_record(state.covariance),
-    }
-
-
-def state_from_record(record) -> GaussianState:
-    if not isinstance(record, dict) or record.get("kind") != "gaussian_state":
-        raise ConfigParseError("record does not describe a gaussian state")
-    for key in ("first_moments", "covariance"):
-        if key not in record:
-            raise ConfigParseError(f"gaussian state record is missing '{key}'")
-    return GaussianState(
-        _array_from_record(record["first_moments"], "first moments"),
-        _array_from_record(record["covariance"], "covariance"),
-    )
-
-
-def symplectic_to_record(gate: SymplecticMatrix) -> dict:
-    return {"kind": "symplectic_matrix", "matrix": _array_to_record(gate.matrix)}
-
-
-def symplectic_from_record(record) -> SymplecticMatrix:
-    if not isinstance(record, dict) or record.get("kind") != "symplectic_matrix":
-        raise ConfigParseError("record does not describe a symplectic matrix")
-    if "matrix" not in record:
-        raise ConfigParseError("symplectic matrix record is missing 'matrix'")
-    return SymplecticMatrix(_array_from_record(record["matrix"], "symplectic matrix"))

@@ -426,7 +426,7 @@ def profile_from_record(record) -> object:
             w0 = float(record["omega0_rad_s"])
             sg = float(record["sigma_rad_s"])
             ph = float(record.get("phase_rad", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigParseError(f"invalid gaussian profile record: {exc}") from exc
         return GaussianProfile(w0, sg, ph)
     if kind == "grid":
@@ -439,7 +439,7 @@ def profile_from_record(record) -> object:
             re = [float(v) for v in record["re"]]
             im = [float(v) for v in record["im"]]
             ph = float(record.get("phase_rad", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigParseError(f"invalid grid profile record: {exc}") from exc
         if not (len(omega) == len(re) == len(im)):
             raise ConfigParseError("grid profile arrays must have equal length")

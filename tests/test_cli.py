@@ -358,6 +358,17 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
     unused_block = config_for("qfi-sweep")
     unused_block["emitter"] = {"type": "static", "radius_m": -1.0}
     corpus.append(("invalid-unused-emitter", unused_block, 3))
+    # integer literals whose float() overflows are refused while parsing
+    too_big = 10**400
+    big_radius = config_for("redshift")
+    big_radius["receiver"]["radius_m"] = too_big
+    corpus.append(("oversized-int-radius", big_radius, 2))
+    big_omega = config_for("overlap")
+    big_omega["photon"]["omega0_rad_s"] = too_big
+    corpus.append(("oversized-int-omega0", big_omega, 2))
+    big_probes = config_for("qfi-sweep")
+    big_probes["estimation"]["probe_count"] = too_big
+    corpus.append(("oversized-int-probe-count", big_probes, 2))
     for name, cfg, expected in corpus:
         path = write_config(tmp_path, cfg, f"{name}.json")
         val_code, val_out, _ = run_cli(capsys, ["validate", path])
@@ -369,6 +380,8 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
         if expected == 3:
             first_class = val_out.splitlines()[0].split(": ")[1]
             assert json.loads(run_err)["error"] == first_class, name
+        if expected == 2:
+            assert json.loads(run_err)["error"] == "ConfigParseError", name
 
 
 def test_console_script_is_installed(tmp_path):

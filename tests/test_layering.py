@@ -1,6 +1,7 @@
-"""Modules of the package use each other only through public names, and
-importing the package or running the CLI on Gaussian configs loads neither
-scipy nor a process pool."""
+"""Modules of the package use each other only through public names, scipy is
+imported only for the spline of tabulated photons, and importing the package
+or running the CLI on Gaussian configs loads neither scipy nor a process
+pool."""
 
 import ast
 import json
@@ -35,6 +36,24 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def _scipy_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "scipy":
+                    yield path.stem, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "scipy":
+                for alias in node.names:
+                    yield path.stem, f"{node.module}.{alias.name}"
+
+
+def test_only_scipy_import_is_the_grid_spline():
+    found = {imp for path in sorted(PACKAGE.glob("*.py")) for imp in _scipy_imports(path)}
+    assert found == {("wavepacket", "scipy.interpolate.CubicSpline")}
+
+
 def _child(probe, *args):
     pythonpath = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
@@ -57,9 +76,9 @@ def test_import_loads_no_adaptive_integrator():
 
 
 def test_gaussian_cli_runs_load_no_scipy_or_process_pool(tmp_path):
-    # scipy is only needed by tabulated photons and symplectic_from_hamiltonian,
-    # and the process pool only by --jobs, so neither importing the CLI nor a
-    # serial run or validate of the Gaussian goldens may load them
+    # scipy is only needed by the spline of tabulated photons, and the process
+    # pool only by --jobs, so neither importing the CLI nor a serial run or
+    # validate of the Gaussian goldens may load them
     probe = (
         "import json, sys, graviphoton, graviphoton.cli as cli\n"
         "out = sys.argv[1]\n"

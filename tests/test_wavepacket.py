@@ -252,6 +252,12 @@ def test_record_parsing_errors():
         profile_from_record(["not", "a", "record"])
     with pytest.raises(DomainError):
         profile_from_record({"kind": "gaussian", "omega0_rad_s": W0, "sigma_rad_s": -1.0})
+    with pytest.raises(ConfigParseError, match="invalid gaussian profile record"):
+        profile_from_record({"kind": "gaussian", "omega0_rad_s": 10**400, "sigma_rad_s": SIG})
+    with pytest.raises(ConfigParseError, match="invalid grid profile record"):
+        profile_from_record(
+            {"kind": "grid", "omega_rad_s": [W0, 10**400], "re": [1.0, 0.0], "im": [0.0, 0.0]}
+        )
 
 
 @given(chi=st.one_of(st.floats(0.999999, 1.000001), st.floats(0.5, 2.0)))
