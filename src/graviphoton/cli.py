@@ -313,9 +313,7 @@ def _qfi_row(args):
     squeezing_r, theta, probe_count, timed = args
     t0 = time.perf_counter()
     _, channel = build_sensing_channel(SensingChannel(squeezing_r=squeezing_r))
-    rep = qfi_finite_difference(
-        lambda t: channel(t), theta, probe_count=probe_count
-    )
+    rep = qfi_finite_difference(channel, theta, probe_count=probe_count)
     elapsed_ms = (time.perf_counter() - t0) * 1e3 if timed else None
     return [rep.theta, rep.qfi, rep.cramer_rao_bound, rep.step_used, elapsed_ms]
 

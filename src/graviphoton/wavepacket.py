@@ -8,15 +8,17 @@ observers with frequency factor ``chi`` acts as
 
 which preserves the L2 norm exactly.  Overlaps between amplitudes are plain
 L2 inner products, ``<F, G> = integral conj(F(w)) G(w) dw``: in closed form
-for two Gaussians, by panel Gauss quadrature with a checked error estimate
-as soon as a tabulated profile is involved.  Only tabulated profiles need
-scipy (for their cubic spline); it is imported when the first one is built,
-so Gaussian-only use never loads it.
+for two Gaussians, otherwise by panel Gauss quadrature between spline nodes:
+a four point rule, exact for two tabulated profiles, or a nested four/seven
+point rule with a checked error estimate for a mixed pair.  Only tabulated
+profiles need scipy (for their cubic spline); it is imported when the first
+one is built, so Gaussian-only use never loads it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,10 +74,7 @@ class GaussianProfile:
         object.__setattr__(self, "phase_rad", ph)
 
     def __call__(self, omega):
-        w = np.asarray(omega, dtype=float)
-        x = (w - self.omega0_rad_s) / self.sigma_rad_s
-        amp = (math.pi * self.sigma_rad_s**2) ** (-0.25) * np.exp(-0.5 * x * x)
-        out = amp * np.exp(1j * self.phase_rad)
+        out = self.amplitude_at_offset(0.0, omega)
         return out if out.shape else complex(out)
 
     def amplitude_at_offset(self, ref, u):
@@ -112,18 +111,20 @@ class SampledGridProfile:
                 f"grid profile has L2 norm {nrm!r}, expected 1 within {NORM_TOL:g}"
             )
 
-    def _init_from_offsets(self, base, du, amp, phase_rad):
+    def _init_from_offsets(self, base, du, amp, phase_rad, spline=None):
         # The grid is held as a base frequency plus small offsets and the
         # spline lives in offset coordinates, so evaluation and rescaling
         # keep full precision at optical frequencies where one ULP of the
         # absolute node value can rival a narrow bandwidth.
-        from scipy.interpolate import CubicSpline  # slow to import; grid-only
-
         self._base = base
         self._du = du
         self._amp = amp
         self.phase_rad = phase_rad
-        self._spline = CubicSpline(du, amp, extrapolate=False)
+        if spline is None:
+            from scipy.interpolate import CubicSpline  # slow to import; grid-only
+
+            spline = CubicSpline(du, amp, extrapolate=False)
+        self._spline = spline
 
     @classmethod
     def from_samples(cls, omega_rad_s, amplitude, phase_rad: float = 0.0):
@@ -153,13 +154,19 @@ class SampledGridProfile:
         Offsets are rescaled directly, which preserves node spacing, and with
         it the tabulated norm, to machine precision; the norm is therefore not
         integrated again.  Only the base frequency picks up a single rounding.
+        Not-a-knot interpolation commutes with affine maps of the abscissa,
+        so the spline is not fitted again either: on each piece of
+        ``sqrt(scale) S(scale t)`` the coefficient of ``(t - x/scale)^(3-k)``
+        is the parent's times ``sqrt(scale) scale^(3-k)``.
         """
+        du = other._du / scale
+        powers = math.sqrt(scale) * scale ** np.arange(3.0, -1.0, -1.0)
+        spline = type(other._spline).construct_fast(
+            other._spline.c * powers[:, None], du, extrapolate=False
+        )
         out = cls.__new__(cls)
         out._init_from_offsets(
-            other._base / scale,
-            other._du / scale,
-            other._amp * math.sqrt(scale),
-            other.phase_rad,
+            other._base / scale, du, other._amp * math.sqrt(scale), other.phase_rad, spline
         )
         return out
 
@@ -172,10 +179,7 @@ class SampledGridProfile:
         return self._amp.copy()
 
     def __call__(self, omega):
-        w = np.asarray(omega, dtype=float)
-        vals = self._spline(w - self._base)
-        vals = np.where(np.isnan(vals), 0.0 + 0.0j, vals)
-        out = vals * np.exp(1j * self.phase_rad)
+        out = self.amplitude_at_offset(0.0, omega)
         return out if out.shape else complex(out)
 
     def amplitude_at_offset(self, ref, u):
@@ -224,33 +228,33 @@ def _quad_window(a, b):
     return lo - ref, hi - ref, ref
 
 
-def _check_quadrature(err, nevals):
+def _check_budget(nevals):
     if nevals > QUAD_EVAL_BUDGET:
         raise QuadratureError(
-            f"integration used {nevals} evaluations, budget is {QUAD_EVAL_BUDGET}"
+            f"integration needs {nevals} evaluations, budget is {QUAD_EVAL_BUDGET}"
         )
+
+
+def _check_quadrature(err):
     if err > QUAD_ABS_TOL:
         raise QuadratureError(
             f"integration error estimate {err:.3e} exceeds tolerance {QUAD_ABS_TOL:g}"
         )
 
 
-_GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl_rule(n):
-    if n not in _GL_RULES:
-        _GL_RULES[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_RULES[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_edges(profiles, ref, lo, hi):
+def _panel_edges(profiles, ref, lo, hi, per_panel):
     """Subdivision of ``[lo, hi]`` aligned with every profile's structure.
 
     Tabulated profiles contribute their spline nodes, so between consecutive
     edges each spline factor is a single cubic piece.  Analytic profiles
     contribute a half-width lattice around their carrier so the peak is
-    resolved.  All coordinates are offsets from ``ref``.
+    resolved.  All coordinates are offsets from ``ref``.  The evaluation
+    count, ``per_panel`` per panel, meets the budget before a lattice is built.
     """
     parts = [np.array([lo, hi])]
     for p in profiles:
@@ -258,39 +262,42 @@ def _panel_edges(profiles, ref, lo, hi):
             parts.append((p._base - ref) + p._du)
         else:
             step = 0.5 * p.sigma_rad_s
-            count = (hi - lo) / step
-            if count > QUAD_EVAL_BUDGET:
-                raise QuadratureError(
-                    f"integration used {int(count)} evaluations, "
-                    f"budget is {QUAD_EVAL_BUDGET}"
-                )
+            _check_budget(per_panel * math.floor((hi - lo) / step))
             c = p.omega0_rad_s - ref
             k0 = math.floor((lo - c) / step)
             k1 = math.ceil((hi - c) / step)
             parts.append(c + step * np.arange(k0, k1 + 1))
     edges = np.concatenate(parts)
     edges = edges[(edges > lo) & (edges < hi)]
-    return np.unique(np.concatenate((edges, [lo, hi])))
+    edges = np.unique(np.concatenate((edges, [lo, hi])))
+    _check_budget(per_panel * (edges.size - 1))
+    return edges
 
 
-def _panel_integral(func, edges):
-    """Nested fixed-order Gauss rule per panel, returning (value, error, nevals).
+def _panel_integral(func, edges, exact):
+    """Gauss-Legendre rules per panel, returning (value, error).
 
-    The seven point rule is exact for products of two cubic spline pieces,
-    so on spline panels the reported error is pure rounding; the four point
-    companion supplies the estimate.
+    With ``exact`` set, ``func`` is a polynomial of degree at most six on
+    every panel (the product of two cubic spline pieces), which the four
+    point rule integrates exactly; the error returned is then a bound on
+    its rounding, ``16 eps sum |w f|``.  Otherwise a nested four/seven
+    point pair runs and the error is the difference of the two.
     """
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
 
-    def on(nodes, weights):
+    def on(n):
+        nodes, weights = _gl_rule(n)
         u = mid[:, None] + half[:, None] * nodes[None, :]
         vals = np.asarray(func(u.ravel())).reshape(u.shape)
-        return complex(np.sum(vals * (half[:, None] * weights[None, :])))
+        return vals * (half[:, None] * weights[None, :])
 
-    coarse = on(*_gl_rule(4))
-    fine = on(*_gl_rule(7))
-    return fine, abs(fine - coarse), 11 * (edges.size - 1)
+    terms = on(4)
+    coarse = complex(np.sum(terms))
+    if exact:
+        return coarse, 16.0 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
+    fine = complex(np.sum(on(7)))
+    return fine, abs(fine - coarse)
 
 
 def overlap(a, b) -> complex:
@@ -302,9 +309,13 @@ def overlap(a, b) -> complex:
     negative-frequency tails it counts are below 1e-14 of the norm by the
     ``MIN_CARRIER_TO_WIDTH`` guard.  As soon as a tabulated profile is
     involved the window covering both supports is integrated panel by panel
-    between the spline nodes, where a nested Gauss rule is exact for the
-    spline pieces; its error estimate is checked against ``QUAD_ABS_TOL``
-    and its evaluation count against ``QUAD_EVAL_BUDGET``.
+    between the spline nodes.  Two tabulated profiles use one four point
+    Gauss rule per panel (4 evaluations), exact for the degree six product
+    of their spline pieces; its reported error is a rounding bound.  A
+    Gaussian and a tabulated profile use a nested four/seven point rule
+    (11 evaluations per panel) whose difference is the error estimate.
+    The error is checked against ``QUAD_ABS_TOL`` and the evaluation count
+    against ``QUAD_EVAL_BUDGET``, the latter before anything is evaluated.
 
     Raises
     ------
@@ -319,6 +330,7 @@ def overlap(a, b) -> complex:
         mag = math.sqrt(2.0 * sa * sb / s2) * math.exp(-d * d / (2.0 * s2))
         return cmath.exp(1j * (b.phase_rad - a.phase_rad)) * mag
     lo, hi, ref = _quad_window(a, b)
+    exact = isinstance(a, SampledGridProfile) and isinstance(b, SampledGridProfile)
 
     def prod(u):
         fa = a.amplitude_at_offset(ref, u)
@@ -326,8 +338,9 @@ def overlap(a, b) -> complex:
             return np.abs(fa) ** 2
         return np.conj(fa) * b.amplitude_at_offset(ref, u)
 
-    val, err, n = _panel_integral(prod, _panel_edges((a, b), ref, lo, hi))
-    _check_quadrature(err, n)
+    edges = _panel_edges((a, b), ref, lo, hi, 4 if exact else 11)
+    val, err = _panel_integral(prod, edges, exact)
+    _check_quadrature(err)
     return val
 
 

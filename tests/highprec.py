@@ -57,3 +57,52 @@ def gaussian_overlap(omega1, sigma1, omega2, sigma2):
 
 def as_float(x):
     return float(x)
+
+
+def _shifted_cubic(coeffs, d):
+    """Ascending coefficients in ``s`` of ``sum_m c_m (s + d)^(3 - m)``."""
+    out = [mp.mpc(0)] * 4
+    for m, c in enumerate(coeffs):
+        p = 3 - m
+        for j in range(p + 1):
+            out[j] += c * mp.binomial(p, j) * d ** (p - j)
+    return out
+
+
+def piecewise_cubic_overlap(xa, ca, xb, cb):
+    """Exact ``integral conj(A(t)) B(t) dt`` of two piecewise cubics.
+
+    Each function is given in the layout of a scipy ``PPoly``: increasing
+    breakpoints ``x`` (length n) and coefficients ``c`` of shape (4, n - 1),
+    so that ``A(t) = sum_m c[m, i] (t - x[i])^(3 - m)`` on ``[x[i], x[i+1]]``,
+    and zero outside ``[x[0], x[-1]]``.  Between consecutive breakpoints of
+    the union both factors are single cubics, so the product is a degree six
+    polynomial, integrated term by term at the working precision.  Float
+    inputs are taken as exact binary values.
+    """
+    import bisect
+
+    def pieces(x, c):
+        xs = [mp.mpf(float(v)) for v in x]
+        cs = [[mp.mpc(complex(c[m, i])) for m in range(4)] for i in range(len(xs) - 1)]
+        return xs, cs
+
+    def local(xs, cs, left):
+        i = bisect.bisect_right(xs, left) - 1
+        if i < 0 or i >= len(cs):
+            return None
+        return _shifted_cubic(cs[i], left - xs[i])
+
+    xa, ca = pieces(xa, ca)
+    xb, cb = pieces(xb, cb)
+    edges = sorted(set(xa) | set(xb))
+    total = mp.mpc(0)
+    for left, right in zip(edges[:-1], edges[1:]):
+        pa, pb = local(xa, ca, left), local(xb, cb, left)
+        if pa is None or pb is None:
+            continue
+        h = right - left
+        for j, u in enumerate(pa):
+            for k, v in enumerate(pb):
+                total += mp.conj(u) * v * h ** (j + k + 1) / (j + k + 1)
+    return total

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graviphoton
@@ -16,10 +17,13 @@ from graviphoton import (
     LinkScenario,
     ObserverPath,
     QuadratureError,
+    SampledGridProfile,
     SchwarzschildGeometry,
     cli,
+    profile_to_record,
     qber_bandwidth_sweep,
     redshift_static_static,
+    wavepacket,
 )
 from graviphoton.constants import EARTH_MASS_KG, EARTH_RADIUS_M
 
@@ -321,6 +325,28 @@ def test_numerical_failure_exits_four(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["run", path])
     assert code == 4
     assert json.loads(err)["error"] == "QuadratureError"
+
+
+def test_evaluation_budget_exits_four_before_evaluating(tmp_path, capsys, monkeypatch):
+    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 200)
+    grid = SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
+    cfg = config_for("overlap")
+    cfg["photon"] = profile_to_record(grid)
+    path = write_config(tmp_path, cfg)
+    # the norm of the 200-node photon needs 4 * 199 evaluations
+    monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 199 - 1)
+    evaluated = []
+
+    def counted(profile, ref, u, _method=SampledGridProfile.amplitude_at_offset):
+        evaluated.append(np.size(u))
+        return _method(profile, ref, u)
+
+    monkeypatch.setattr(SampledGridProfile, "amplitude_at_offset", counted)
+    for argv in (["validate", path], ["run", path]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 4, argv
+        assert json.loads(err)["error"] == "QuadratureError", argv
+    assert evaluated == []
 
 
 def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):

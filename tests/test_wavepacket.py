@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import highprec as hp
 from graviphoton import (
@@ -12,6 +13,7 @@ from graviphoton import (
     DomainError,
     GaussianProfile,
     NormalizationError,
+    QuadratureError,
     RedshiftFactor,
     SampledGridProfile,
     l2_norm,
@@ -21,6 +23,7 @@ from graviphoton import (
     profile_to_record,
     redshift_transform,
     sharp_commutator_scale,
+    wavepacket,
 )
 
 W0 = 2.0 * math.pi * 4.3e14
@@ -34,6 +37,48 @@ def sampled_gaussian(omega0, sigma, n=801, phase=0.0):
         -((w - omega0) ** 2) / (2.0 * sigma**2)
     )
     return SampledGridProfile.from_samples(w, amp * np.exp(1j * phase))
+
+
+# an optical carrier near 2**51 rad/s (358 THz), held exactly together with
+# every node offset that is a multiple of 0.5 rad/s
+OPTICAL = 2.0**51
+
+
+def exact_grid(n, start, step, seed, phase=0.0):
+    """Chirped bump tabulated on jittered nodes ``start + step * k``.
+
+    ``step`` is a power of two and every node an exact binary number, so
+    ``omega_rad_s - omega_rad_s[0]`` recovers the profile's offsets exactly
+    and a spline refitted to the public samples is the profile's own.
+    """
+    rng = np.random.default_rng(seed)
+    du = step * np.concatenate(([0.0], np.cumsum(rng.integers(800, 1201, n - 1))))
+    x = (du - 0.5 * du[-1]) / (0.12 * du[-1])
+    amp = np.exp(-0.5 * x * x + 1j * (0.3 * x * x + rng.uniform(-0.2, 0.2) * x))
+    return SampledGridProfile.from_samples(start + du, amp, phase)
+
+
+def reference_overlap(a, b):
+    """``<a, b>`` at 60 digits from not-a-knot splines refitted to the public
+    samples of two grids that start at the same frequency."""
+    origin = a.omega_rad_s[0]
+    assert b.omega_rad_s[0] == origin
+    sa = CubicSpline(a.omega_rad_s - origin, a.amplitude)
+    sb = CubicSpline(b.omega_rad_s - origin, b.amplitude)
+    phase = hp.mp.expj(hp.mp.mpf(b.phase_rad) - hp.mp.mpf(a.phase_rad))
+    return complex(phase * hp.piecewise_cubic_overlap(sa.x, sa.c, sb.x, sb.c))
+
+
+def record_calls(monkeypatch):
+    """List that collects ``(profile, point count)`` per amplitude evaluation."""
+    calls = []
+    for cls in (GaussianProfile, SampledGridProfile):
+        def counted(profile, ref, u, _method=cls.amplitude_at_offset):
+            calls.append((profile, np.size(u)))
+            return _method(profile, ref, u)
+
+        monkeypatch.setattr(cls, "amplitude_at_offset", counted)
+    return calls
 
 
 def test_gaussian_profile_is_normalized():
@@ -163,6 +208,72 @@ def test_grid_transform_inversion():
     assert abs(overlap(g, back) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("case", ["norm", "phase-shifted", "redshifted", "weak-field"])
+def test_grid_overlap_against_exact_spline_integral(n, case):
+    if case == "norm":
+        a = b = exact_grid(n, OPTICAL, 8.0, seed=n)
+    elif case == "phase-shifted":
+        a = exact_grid(n, OPTICAL, 8.0, seed=n)
+        b = exact_grid(n, OPTICAL, 8.0, seed=n + 1, phase=0.8)
+    else:
+        # grids from zero frequency keep the rescaled offsets public exactly
+        a = exact_grid(n, 0.0, 2.0**-20, seed=n)
+        b = redshift_transform(a, math.sqrt(1.02 if case == "redshifted" else 1.0 + 1e-9))
+    assert abs(overlap(a, b) - reference_overlap(a, b)) < 1e-15
+
+
+def test_grid_overlap_evaluation_counts(monkeypatch):
+    a = exact_grid(100, 0.0, 2.0**-20, seed=3)
+    b = exact_grid(120, 0.0, 2.0**-20, seed=4)
+    g = exact_grid(100, OPTICAL, 8.0, seed=5)
+    lo, hi = g.support()
+    f = GaussianProfile(0.5 * (lo + hi), 0.1 * (hi - lo))
+    calls = record_calls(monkeypatch)
+    # grid-grid: one four point rule per panel between the union of nodes
+    panels = np.union1d(a.omega_rad_s, b.omega_rad_s).size - 1
+    overlap(a, b)
+    assert calls == [(a, 4 * panels), (b, 4 * panels)]
+    calls.clear()
+    l2_norm(a)
+    assert calls == [(a, 4 * 99)]
+    # mixed: the nested four/seven point pair, 11 evaluations per panel
+    calls.clear()
+    overlap(f, g)
+    panels = calls[0][1] // 4
+    assert calls == [(f, 4 * panels), (g, 4 * panels), (f, 7 * panels), (g, 7 * panels)]
+
+
+def test_evaluation_budget_is_checked_before_evaluating(monkeypatch):
+    g = exact_grid(100, OPTICAL, 8.0, seed=6)
+    lo, hi = g.support()
+    f = GaussianProfile(0.5 * (lo + hi), 0.1 * (hi - lo))
+    calls = record_calls(monkeypatch)
+    monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 99 - 1)
+    with pytest.raises(QuadratureError, match="needs 396 evaluations"):
+        l2_norm(g)
+    with pytest.raises(QuadratureError):
+        overlap(f, g)
+    with pytest.raises(QuadratureError):
+        SampledGridProfile.from_samples(g.omega_rad_s, g.amplitude)
+    assert calls == []
+    monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 99)
+    assert abs(l2_norm(g) - 1.0) < 1e-12
+    assert calls == [(g, 4 * 99)]
+
+
+def test_mixed_overlap_checks_its_error_estimate(monkeypatch):
+    # the nested rule's difference is checked against QUAD_ABS_TOL: a
+    # tolerance no estimate can meet turns a good overlap into an error
+    g = exact_grid(100, OPTICAL, 8.0, seed=7)
+    lo, hi = g.support()
+    f = GaussianProfile(0.5 * (lo + hi), 0.1 * (hi - lo))
+    assert abs(overlap(f, g)) <= 1.0 + 1e-10
+    monkeypatch.setattr(wavepacket, "QUAD_ABS_TOL", 1e-300)
+    with pytest.raises(QuadratureError, match="error estimate"):
+        overlap(f, g)
+
+
 def test_grid_matches_analytic_gaussian():
     g = sampled_gaussian(W0, SIG, n=1201)
     f = GaussianProfile(W0, SIG)
@@ -265,6 +376,24 @@ def test_record_parsing_errors():
 def test_transform_norm_preservation_property(chi):
     out = redshift_transform(GaussianProfile(W0, SIG), chi)
     assert abs(l2_norm(out) - 1.0) < 1e-9
+
+
+@given(
+    chi_squared=st.one_of(st.floats(1.0 - 1e-6, 1.0 + 1e-6), st.floats(0.5, 1.0)),
+    phase=st.floats(-3.0, 3.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_rescaled_spline_matches_a_fresh_fit(chi_squared, phase):
+    # a grid from zero frequency, so public nodes are the spline's offsets
+    g = exact_grid(400, 0.0, 2.0**-20, seed=8, phase=phase)
+    chi = math.sqrt(chi_squared)
+    c2 = RedshiftFactor(chi).chi_squared
+    out = redshift_transform(g, chi)
+    fresh = CubicSpline(g.omega_rad_s / c2, g.amplitude * chi)
+    lo, hi = out.support()
+    t = np.random.default_rng(9).uniform(lo, hi, 1000)
+    want = fresh(t) * np.exp(1j * phase)
+    assert np.max(np.abs(out(t) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @given(
