@@ -2,7 +2,8 @@
 
 The package splits into small layers.  ``spacetime`` gives frequency ratios
 between observers around a nonrotating mass; ``wavepacket`` moves finite
-bandwidth spectral amplitudes through that ratio and measures their overlap;
+bandwidth spectral amplitudes through that ratio and measures their overlap,
+with ``spline`` fitting and integrating the splines of tabulated ones;
 ``symplectic`` is a covariance matrix engine for Gaussian states;
 ``metrology`` turns state distinguishability into Fisher information and
 estimation bounds; ``protocols`` converts mode mismatch into interference

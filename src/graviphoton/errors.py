@@ -40,7 +40,8 @@ class NumericalError(GraviphotonError):
 
 
 class QuadratureError(NumericalError):
-    """Panel quadrature of a tabulated profile exceeded its budget or error estimate."""
+    """An integral of a tabulated profile exceeded its budget, or panel
+    quadrature its error estimate."""
 
 
 class NonPhysicalState(NumericalError):

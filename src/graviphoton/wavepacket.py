@@ -8,11 +8,11 @@ observers with frequency factor ``chi`` acts as
 
 which preserves the L2 norm exactly.  Overlaps between amplitudes are plain
 L2 inner products, ``<F, G> = integral conj(F(w)) G(w) dw``: in closed form
-for two Gaussians, otherwise by panel Gauss quadrature between spline nodes:
-a four point rule, exact for two tabulated profiles, or a nested four/seven
-point rule with a checked error estimate for a mixed pair.  Only tabulated
-profiles need scipy (for their cubic spline); it is imported when the first
-one is built, so Gaussian-only use never loads it.
+for two Gaussians and for two tabulated profiles (whose cubic splines,
+fitted by :mod:`graviphoton.spline`, multiply to a degree six polynomial
+between nodes), and by a nested four/seven point Gauss rule per panel,
+with a checked error estimate, for a Gaussian with a tabulated profile.
+The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spline
 from .errors import ConfigParseError, DomainError, NormalizationError, QuadratureError
 from .spacetime import RedshiftFactor
 
@@ -111,28 +112,25 @@ class SampledGridProfile:
                 f"grid profile has L2 norm {nrm!r}, expected 1 within {NORM_TOL:g}"
             )
 
-    def _init_from_offsets(self, base, du, amp, phase_rad, spline=None):
+    def _init_from_offsets(self, base, du, amp, phase_rad, coeffs=None):
         # The grid is held as a base frequency plus small offsets and the
-        # spline lives in offset coordinates, so evaluation and rescaling
-        # keep full precision at optical frequencies where one ULP of the
-        # absolute node value can rival a narrow bandwidth.
+        # spline coefficients (layout of graviphoton.spline) live in offset
+        # coordinates, so evaluation and rescaling keep full precision at
+        # optical frequencies where one ULP of the absolute node value can
+        # rival a narrow bandwidth.
         self._base = base
         self._du = du
         self._amp = amp
         self.phase_rad = phase_rad
-        if spline is None:
-            from scipy.interpolate import CubicSpline  # slow to import; grid-only
-
-            spline = CubicSpline(du, amp, extrapolate=False)
-        self._spline = spline
+        self._c = spline.not_a_knot(du, amp) if coeffs is None else coeffs
 
     @classmethod
     def from_samples(cls, omega_rad_s, amplitude, phase_rad: float = 0.0):
         """Build a profile from raw samples, rescaling to unit norm."""
         omega, amp = _check_samples(omega_rad_s, amplitude, phase_rad)
         du = omega - omega[0]
-        # bring arbitrary sample scales near unit norm first, so the absolute
-        # quadrature tolerance below stays meaningful for any input scaling
+        # bring arbitrary sample scales near unit norm first, so the squares
+        # in the norm integral neither overflow nor lose digits to underflow
         rough = math.sqrt(float(np.trapezoid(np.abs(amp) ** 2, du)))
         if rough <= 0.0 or not math.isfinite(rough):
             raise DomainError("samples have no usable L2 norm")
@@ -144,7 +142,7 @@ class SampledGridProfile:
         # the spline is linear in its data: dividing its coefficients
         # normalizes it without a second fit or a second norm integral
         out._amp = out._amp / nrm
-        out._spline.c /= nrm
+        out._c /= nrm
         return out
 
     @classmethod
@@ -159,14 +157,14 @@ class SampledGridProfile:
         ``sqrt(scale) S(scale t)`` the coefficient of ``(t - x/scale)^(3-k)``
         is the parent's times ``sqrt(scale) scale^(3-k)``.
         """
-        du = other._du / scale
         powers = math.sqrt(scale) * scale ** np.arange(3.0, -1.0, -1.0)
-        spline = type(other._spline).construct_fast(
-            other._spline.c * powers[:, None], du, extrapolate=False
-        )
         out = cls.__new__(cls)
         out._init_from_offsets(
-            other._base / scale, du, other._amp * math.sqrt(scale), other.phase_rad, spline
+            other._base / scale,
+            other._du / scale,
+            other._amp * math.sqrt(scale),
+            other.phase_rad,
+            other._c * powers[:, None],
         )
         return out
 
@@ -183,10 +181,13 @@ class SampledGridProfile:
         return out if out.shape else complex(out)
 
     def amplitude_at_offset(self, ref, u):
-        t = (ref - self._base) + np.asarray(u, dtype=float)
-        vals = self._spline(t)
-        vals = np.where(np.isnan(vals), 0.0 + 0.0j, vals)
-        return vals * np.exp(1j * self.phase_rad)
+        return self._amplitude((ref - self._base) + np.asarray(u, dtype=float))
+
+    def _amplitude(self, t, piece=None):
+        """Values at spline offsets ``t``; ``piece`` as in ``spline.evaluate``."""
+        vals = spline.evaluate(self._du, self._c, t, piece)
+        vals *= cmath.exp(1j * self.phase_rad)
+        return vals
 
     def support(self):
         return (self._base + float(self._du[0]), self._base + float(self._du[-1]))
@@ -243,18 +244,20 @@ def _check_quadrature(err):
 
 
 @functools.cache
-def _gl_rule(n):
-    return np.polynomial.legendre.leggauss(n)
+def _nested_rule():
+    """Nodes and weights of the 4 and the 7 point Gauss-Legendre rules, joined."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in (4, 7)]
+    return tuple(np.concatenate(parts) for parts in zip(*rules))
 
 
-def _panel_edges(profiles, ref, lo, hi, per_panel):
+def _panel_edges(profiles, ref, lo, hi):
     """Subdivision of ``[lo, hi]`` aligned with every profile's structure.
 
     Tabulated profiles contribute their spline nodes, so between consecutive
     edges each spline factor is a single cubic piece.  Analytic profiles
     contribute a half-width lattice around their carrier so the peak is
     resolved.  All coordinates are offsets from ``ref``.  The evaluation
-    count, ``per_panel`` per panel, meets the budget before a lattice is built.
+    count, 11 per panel, meets the budget before a lattice is built.
     """
     parts = [np.array([lo, hi])]
     for p in profiles:
@@ -262,7 +265,7 @@ def _panel_edges(profiles, ref, lo, hi, per_panel):
             parts.append((p._base - ref) + p._du)
         else:
             step = 0.5 * p.sigma_rad_s
-            _check_budget(per_panel * math.floor((hi - lo) / step))
+            _check_budget(11 * math.floor((hi - lo) / step))
             c = p.omega0_rad_s - ref
             k0 = math.floor((lo - c) / step)
             k1 = math.ceil((hi - c) / step)
@@ -270,33 +273,35 @@ def _panel_edges(profiles, ref, lo, hi, per_panel):
     edges = np.concatenate(parts)
     edges = edges[(edges > lo) & (edges < hi)]
     edges = np.unique(np.concatenate((edges, [lo, hi])))
-    _check_budget(per_panel * (edges.size - 1))
+    _check_budget(11 * (edges.size - 1))
     return edges
 
 
-def _panel_integral(func, edges, exact):
-    """Gauss-Legendre rules per panel, returning (value, error).
+def _panel_integral(a, b, ref, edges):
+    """Nested four/seven point Gauss-Legendre rules per panel of a mixed pair.
 
-    With ``exact`` set, ``func`` is a polynomial of degree at most six on
-    every panel (the product of two cubic spline pieces), which the four
-    point rule integrates exactly; the error returned is then a bound on
-    its rounding, ``16 eps sum |w f|``.  Otherwise a nested four/seven
-    point pair runs and the error is the difference of the two.
+    Returns the seven point value and, as its error estimate, the difference
+    of the two.  Both rules are evaluated in one batch of 11 points per
+    panel.  Every node of the tabulated profile is a panel edge, so all
+    points of a panel lie in one spline piece, looked up once per panel.
     """
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
+    nodes, weights = _nested_rule()
+    u = mid[:, None] + half[:, None] * nodes[None, :]
 
-    def on(n):
-        nodes, weights = _gl_rule(n)
-        u = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = np.asarray(func(u.ravel())).reshape(u.shape)
-        return vals * (half[:, None] * weights[None, :])
+    def amplitude(p):
+        if not isinstance(p, SampledGridProfile):
+            return p.amplitude_at_offset(ref, u)
+        shift = ref - p._base
+        piece = np.searchsorted(p._du[1:-1], shift + mid, side="right")
+        return p._amplitude(shift + u, piece[:, None])
 
-    terms = on(4)
-    coarse = complex(np.sum(terms))
-    if exact:
-        return coarse, 16.0 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
-    fine = complex(np.sum(on(7)))
+    vals = np.conj(amplitude(a))
+    vals *= amplitude(b)
+    vals *= half[:, None] * weights[None, :]
+    coarse = complex(np.sum(vals[:, :4]))
+    fine = complex(np.sum(vals[:, 4:]))
     return fine, abs(fine - coarse)
 
 
@@ -307,21 +312,23 @@ def overlap(a, b) -> complex:
     ``e^{i(phi_b - phi_a)} sqrt(2 s_a s_b/(s_a^2 + s_b^2))
     exp(-d^2/(2(s_a^2 + s_b^2)))`` with ``d`` the carrier separation; the
     negative-frequency tails it counts are below 1e-14 of the norm by the
-    ``MIN_CARRIER_TO_WIDTH`` guard.  As soon as a tabulated profile is
-    involved the window covering both supports is integrated panel by panel
-    between the spline nodes.  Two tabulated profiles use one four point
-    Gauss rule per panel (4 evaluations), exact for the degree six product
-    of their spline pieces; its reported error is a rounding bound.  A
-    Gaussian and a tabulated profile use a nested four/seven point rule
-    (11 evaluations per panel) whose difference is the error estimate.
-    The error is checked against ``QUAD_ABS_TOL`` and the evaluation count
-    against ``QUAD_EVAL_BUDGET``, the latter before anything is evaluated.
+    ``MIN_CARRIER_TO_WIDTH`` guard.  Two tabulated profiles overlap in closed
+    form too: between the nodes of both grids the product of their spline
+    pieces is a degree six polynomial, integrated exactly by
+    :func:`graviphoton.spline.overlap`, with no error estimate.  A Gaussian
+    and a tabulated profile are integrated panel by panel between the
+    spline nodes with a nested four/seven point Gauss rule (11 evaluations
+    per panel), whose difference is the error estimate checked against
+    ``QUAD_ABS_TOL``.  The panel count is checked against
+    ``QUAD_EVAL_BUDGET`` before any work on the panels: 11 evaluations per
+    panel for a mixed pair, and 4 per panel (the cost of the exact four
+    point rule) for two tabulated profiles.
 
     Raises
     ------
     QuadratureError
-        If a tabulated overlap cannot meet the error estimate or the
-        evaluation budget.
+        If a tabulated overlap exceeds the evaluation budget, or a mixed
+        one cannot meet the error estimate.
     """
     if isinstance(a, GaussianProfile) and isinstance(b, GaussianProfile):
         sa, sb = a.sigma_rad_s, b.sigma_rad_s
@@ -329,17 +336,18 @@ def overlap(a, b) -> complex:
         d = a.omega0_rad_s - b.omega0_rad_s
         mag = math.sqrt(2.0 * sa * sb / s2) * math.exp(-d * d / (2.0 * s2))
         return cmath.exp(1j * (b.phase_rad - a.phase_rad)) * mag
+    if isinstance(a, SampledGridProfile) and isinstance(b, SampledGridProfile):
+        if b is a:
+            _check_budget(4 * (a._du.size - 1))
+            return spline.overlap(a._du, a._c, a._du, a._c)
+        # offsets from a's base keep a's nodes exact
+        xb = (b._base - a._base) + b._du
+        _check_budget(4 * (np.union1d(a._du, xb).size - 1))
+        phase = cmath.exp(1j * (b.phase_rad - a.phase_rad))
+        return phase * spline.overlap(a._du, a._c, xb, b._c)
     lo, hi, ref = _quad_window(a, b)
-    exact = isinstance(a, SampledGridProfile) and isinstance(b, SampledGridProfile)
-
-    def prod(u):
-        fa = a.amplitude_at_offset(ref, u)
-        if b is a:  # a norm: evaluate the spline once
-            return np.abs(fa) ** 2
-        return np.conj(fa) * b.amplitude_at_offset(ref, u)
-
-    edges = _panel_edges((a, b), ref, lo, hi, 4 if exact else 11)
-    val, err = _panel_integral(prod, edges, exact)
+    edges = _panel_edges((a, b), ref, lo, hi)
+    val, err = _panel_integral(a, b, ref, edges)
     _check_quadrature(err)
     return val
 

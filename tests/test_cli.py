@@ -342,11 +342,14 @@ def test_evaluation_budget_exits_four_before_evaluating(tmp_path, capsys, monkey
         return _method(profile, ref, u)
 
     monkeypatch.setattr(SampledGridProfile, "amplitude_at_offset", counted)
+    integrated = []
+    monkeypatch.setattr(wavepacket.spline, "overlap", lambda *args: integrated.append(args))
     for argv in (["validate", path], ["run", path]):
         code, _, err = run_cli(capsys, argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "QuadratureError", argv
     assert evaluated == []
+    assert integrated == []
 
 
 def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
@@ -384,6 +387,13 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
     unused_block = config_for("qfi-sweep")
     unused_block["emitter"] = {"type": "static", "radius_m": -1.0}
     corpus.append(("invalid-unused-emitter", unused_block, 3))
+    # a tabulated photon whose norm is 1e4 is a domain error at any scale
+    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 200)
+    grid = SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
+    unnormalized = config_for("overlap")
+    unnormalized["photon"] = profile_to_record(grid)
+    unnormalized["photon"]["re"] = [1e4 * v for v in unnormalized["photon"]["re"]]
+    corpus.append(("unnormalized-grid", unnormalized, 3))
     # integer literals whose float() overflows are refused while parsing
     too_big = 10**400
     big_radius = config_for("redshift")

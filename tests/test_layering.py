@@ -1,6 +1,6 @@
-"""Modules of the package use each other only through public names, scipy is
-imported only for the spline of tabulated photons, and importing the package
-or running the CLI on Gaussian configs loads neither scipy nor a process
+"""Modules of the package use each other only through public names, no
+module imports scipy, and importing the package or running the CLI on
+Gaussian or tabulated-photon configs loads neither scipy nor a process
 pool."""
 
 import ast
@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import graviphoton
 
@@ -49,9 +51,9 @@ def _scipy_imports(path):
                     yield path.stem, f"{node.module}.{alias.name}"
 
 
-def test_only_scipy_import_is_the_grid_spline():
+def test_no_module_imports_scipy():
     found = {imp for path in sorted(PACKAGE.glob("*.py")) for imp in _scipy_imports(path)}
-    assert found == {("wavepacket", "scipy.interpolate.CubicSpline")}
+    assert found == set()
 
 
 def _child(probe, *args):
@@ -67,7 +69,7 @@ def _child(probe, *args):
 
 def test_import_loads_no_adaptive_integrator():
     # Gaussian overlaps are closed form and tabulated ones use the package's
-    # own panel rule, so importing the package must not pull in scipy.integrate
+    # own spline, so importing the package must not pull in scipy.integrate
     probe = (
         "import sys, graviphoton; "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'integrate']))"
@@ -75,23 +77,46 @@ def test_import_loads_no_adaptive_integrator():
     assert _child(probe) == "[]"
 
 
+# runs `run` and `validate` on each config given, then prints the exit codes
+# and every scipy, multiprocessing or process-pool module loaded
+CLI_PROBE = (
+    "import json, sys, graviphoton, graviphoton.cli as cli\n"
+    "out = sys.argv[1]\n"
+    "codes = []\n"
+    "for cfg in sys.argv[2:]:\n"
+    "    codes.append(cli.main(['run', cfg, '--output', out]))\n"
+    "    codes.append(cli.main(['validate', cfg]))\n"
+    "loaded = sorted(m for m in sys.modules if m == 'concurrent.futures.process'\n"
+    "                or m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
+    "print(json.dumps([codes, loaded]))\n"
+)
+
+
 def test_gaussian_cli_runs_load_no_scipy_or_process_pool(tmp_path):
-    # scipy is only needed by the spline of tabulated photons, and the process
-    # pool only by --jobs, so neither importing the CLI nor a serial run or
-    # validate of the Gaussian goldens may load them
-    probe = (
-        "import json, sys, graviphoton, graviphoton.cli as cli\n"
-        "out = sys.argv[1]\n"
-        "codes = []\n"
-        "for cfg in sys.argv[2:]:\n"
-        "    codes.append(cli.main(['run', cfg, '--output', out]))\n"
-        "    codes.append(cli.main(['validate', cfg]))\n"
-        "loaded = sorted(m for m in sys.modules if m == 'concurrent.futures.process'\n"
-        "                or m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
-        "print(json.dumps([codes, loaded]))\n"
-    )
+    # the process pool is only needed by --jobs, so neither importing the CLI
+    # nor a serial run or validate of the Gaussian goldens may load it
     tasks = ("redshift", "overlap", "qber-sweep", "qfi-sweep")
     configs = [str(GOLDEN / f"{task}.json") for task in tasks]
-    codes, loaded = json.loads(_child(probe, str(tmp_path / "table.out"), *configs))
+    codes, loaded = json.loads(_child(CLI_PROBE, str(tmp_path / "table.out"), *configs))
     assert codes == [0] * 2 * len(tasks)
+    assert loaded == []
+
+
+def test_grid_photon_cli_runs_load_no_scipy(tmp_path):
+    # the spline of a tabulated photon is the package's own numpy code
+    cfg = json.loads((GOLDEN / "overlap.json").read_text(encoding="utf-8"))
+    w0, sigma = cfg["photon"]["omega0_rad_s"], cfg["photon"]["sigma_rad_s"]
+    x = np.linspace(-8.0, 8.0, 401)
+    amp = (np.pi * sigma**2) ** -0.25 * np.exp(-0.5 * x * x)
+    cfg["photon"] = {
+        "kind": "grid",
+        "omega_rad_s": (w0 + sigma * x).tolist(),
+        "re": amp.tolist(),
+        "im": [0.0] * x.size,
+    }
+    cfg.pop("output", None)
+    path = tmp_path / "grid-overlap.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    codes, loaded = json.loads(_child(CLI_PROBE, str(tmp_path / "table.out"), str(path)))
+    assert codes == [0, 0]
     assert loaded == []

@@ -70,14 +70,32 @@ def reference_overlap(a, b):
 
 
 def record_calls(monkeypatch):
-    """List that collects ``(profile, point count)`` per amplitude evaluation."""
-    calls = []
-    for cls in (GaussianProfile, SampledGridProfile):
-        def counted(profile, ref, u, _method=cls.amplitude_at_offset):
-            calls.append((profile, np.size(u)))
-            return _method(profile, ref, u)
+    """List that collects ``(profile, point count)`` per amplitude evaluation.
 
-        monkeypatch.setattr(cls, "amplitude_at_offset", counted)
+    A Gaussian is counted in ``amplitude_at_offset(ref, u)``; a tabulated
+    profile in ``_amplitude(t, ...)``, where all its evaluations end up.
+    """
+    calls = []
+    hooks = ((GaussianProfile, "amplitude_at_offset", 1), (SampledGridProfile, "_amplitude", 0))
+    for cls, name, at in hooks:
+        def counted(profile, *args, _method=getattr(cls, name), _at=at):
+            calls.append((profile, np.size(args[_at])))
+            return _method(profile, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def record_closed_forms(monkeypatch):
+    """List that collects the arguments of every closed-form spline overlap."""
+    calls = []
+    exact = wavepacket.spline.overlap
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(wavepacket.spline, "overlap", counted)
     return calls
 
 
@@ -230,18 +248,18 @@ def test_grid_overlap_evaluation_counts(monkeypatch):
     lo, hi = g.support()
     f = GaussianProfile(0.5 * (lo + hi), 0.1 * (hi - lo))
     calls = record_calls(monkeypatch)
-    # grid-grid: one four point rule per panel between the union of nodes
-    panels = np.union1d(a.omega_rad_s, b.omega_rad_s).size - 1
+    closed = record_closed_forms(monkeypatch)
+    # grid-grid pairs and grid norms are closed form: no point is evaluated
     overlap(a, b)
-    assert calls == [(a, 4 * panels), (b, 4 * panels)]
-    calls.clear()
     l2_norm(a)
-    assert calls == [(a, 4 * 99)]
+    assert calls == []
+    assert len(closed) == 2
     # mixed: the nested four/seven point pair, 11 evaluations per panel
-    calls.clear()
     overlap(f, g)
-    panels = calls[0][1] // 4
-    assert calls == [(f, 4 * panels), (g, 4 * panels), (f, 7 * panels), (g, 7 * panels)]
+    assert len(closed) == 2
+    panels = calls[0][1] // 11
+    assert panels > 100
+    assert calls == [(f, 11 * panels), (g, 11 * panels)]
 
 
 def test_evaluation_budget_is_checked_before_evaluating(monkeypatch):
@@ -249,6 +267,8 @@ def test_evaluation_budget_is_checked_before_evaluating(monkeypatch):
     lo, hi = g.support()
     f = GaussianProfile(0.5 * (lo + hi), 0.1 * (hi - lo))
     calls = record_calls(monkeypatch)
+    closed = record_closed_forms(monkeypatch)
+    # a grid-grid panel counts as the four evaluations of an exact Gauss rule
     monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 99 - 1)
     with pytest.raises(QuadratureError, match="needs 396 evaluations"):
         l2_norm(g)
@@ -257,9 +277,30 @@ def test_evaluation_budget_is_checked_before_evaluating(monkeypatch):
     with pytest.raises(QuadratureError):
         SampledGridProfile.from_samples(g.omega_rad_s, g.amplitude)
     assert calls == []
+    assert closed == []
     monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 99)
     assert abs(l2_norm(g) - 1.0) < 1e-12
-    assert calls == [(g, 4 * 99)]
+    assert calls == []
+    assert len(closed) == 1
+
+
+@pytest.mark.parametrize("width", [0.02, 0.1, 0.6])
+def test_mixed_overlap_against_dense_reference(width):
+    # a refitted scipy spline times the Gaussian, with 20 Gauss points on
+    # every spline piece: independent of the package's panels and lookups
+    g = exact_grid(100, OPTICAL, 8.0, seed=11, phase=0.4)
+    lo, hi = g.support()
+    f = GaussianProfile(lo + 0.45 * (hi - lo), width * (hi - lo), -0.3)
+    origin = g.omega_rad_s[0]
+    s = CubicSpline(g.omega_rad_s - origin, g.amplitude)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    mid, half = 0.5 * (s.x[1:] + s.x[:-1]), 0.5 * np.diff(s.x)
+    t = mid[:, None] + half[:, None] * nodes
+    x = ((origin - f.omega0_rad_s) + t) / f.sigma_rad_s
+    gauss = (math.pi * f.sigma_rad_s**2) ** -0.25 * np.exp(-0.5 * x * x)
+    ref = np.sum(gauss * s(t) * half[:, None] * weights) * cmath.exp(1j * (g.phase_rad - f.phase_rad))
+    assert abs(overlap(f, g) - ref) < 1e-14
+    assert abs(overlap(g, f) - ref.conjugate()) < 1e-14
 
 
 def test_mixed_overlap_checks_its_error_estimate(monkeypatch):
@@ -304,6 +345,14 @@ def test_grid_profile_rejects_unnormalized_direct_input():
     w = np.linspace(1e3, 2e3, 8)
     with pytest.raises(NormalizationError):
         SampledGridProfile(w, np.ones(8))
+    # however far off the norm is, it is a normalization error, not a
+    # numerical one
+    g = SampledGridProfile.from_samples(
+        np.linspace(1e3, 2e3, 200), np.exp(-0.5 * np.linspace(-4.0, 4.0, 200) ** 2)
+    )
+    for k in (10.0, 300.0, 1e4):
+        with pytest.raises(NormalizationError):
+            SampledGridProfile(g.omega_rad_s, k * g.amplitude)
 
 
 def test_mixing_angle_limits():
