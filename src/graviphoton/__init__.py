@@ -29,7 +29,6 @@ from .errors import (
     NumericalError,
     OrbitDomainError,
     QuadratureError,
-    StepUnderflow,
 )
 from .metrology import (
     QFI_SWEEP_CSV_COLUMNS,
@@ -41,6 +40,7 @@ from .metrology import (
     gaussian_fidelity,
     qfi_finite_difference,
     qfi_sweep,
+    sensing_qfi,
 )
 from .protocols import (
     QBER_SWEEP_CSV_COLUMNS,

@@ -35,16 +35,16 @@ from .errors import ConfigParseError, DomainError, GraviphotonError
 from .metrology import (
     QFI_SWEEP_CSV_COLUMNS,
     SensingChannel,
-    build_sensing_channel,
     check_probe_angle,
     check_probe_count,
-    qfi_finite_difference,
+    qfi_sweep,
 )
 from .protocols import (
     QBER_SWEEP_CSV_COLUMNS,
+    LinkScenario,
     check_sigma_grid,
     check_sweep_profile,
-    qber_at_chi,
+    qber_bandwidth_sweep,
 )
 from .spacetime import (
     ObserverPath,
@@ -54,7 +54,6 @@ from .spacetime import (
     redshift_between,
 )
 from .wavepacket import (
-    GaussianProfile,
     mixing_angle,
     overlap,
     profile_from_record,
@@ -302,34 +301,7 @@ def collect_violations(cfg: dict, task: str) -> tuple[dict, list]:
 # table computation
 
 
-def _qber_row(args):
-    omega0, sigma_swept, phase, chi_value = args
-    profile = GaussianProfile(omega0, sigma_swept, phase)
-    rep = qber_at_chi(profile, chi_value, sigma_rad_s=sigma_swept)
-    return [sigma_swept, rep.chi.z, rep.overlap_magnitude, rep.visibility, rep.qber]
-
-
-def _qfi_row(args):
-    squeezing_r, theta, probe_count, timed = args
-    t0 = time.perf_counter()
-    _, channel = build_sensing_channel(SensingChannel(squeezing_r=squeezing_r))
-    rep = qfi_finite_difference(channel, theta, probe_count=probe_count)
-    elapsed_ms = (time.perf_counter() - t0) * 1e3 if timed else None
-    return [rep.theta, rep.qfi, rep.cramer_rao_bound, rep.step_used, elapsed_ms]
-
-
-def _map_rows(worker, arg_list, jobs: int):
-    if jobs <= 1 or len(arg_list) <= 1:
-        return [worker(a) for a in arg_list]
-    # the pool pulls in multiprocessing, so serial runs never import it; it
-    # starts every worker up front, so start no more than there are rows
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(arg_list))) as pool:
-        return list(pool.map(worker, arg_list))
-
-
-def execute_task(task: str, plan: dict, *, jobs: int = 1, timings: bool = False):
+def execute_task(task: str, plan: dict):
     """Compute the table of a violation-free plan; returns ``(columns, rows, summary)``."""
     chi, profile = plan.get("redshift"), plan.get("photon")
     if task == "redshift":
@@ -353,20 +325,21 @@ def execute_task(task: str, plan: dict, *, jobs: int = 1, timings: bool = False)
         ]
         return OVERLAP_CSV_COLUMNS, rows, f"overlap_mag={_fmt(magnitude)}"
     if task == "qber-sweep":
-        args = [
-            (profile.omega0_rad_s, s, profile.phase_rad, chi.chi)
-            for s in plan["sweep"]
+        scenario = LinkScenario(plan["body"], plan["emitter"], plan["receiver"], profile)
+        rows = [
+            [rep.sigma_rad_s, rep.chi.z, rep.overlap_magnitude, rep.visibility, rep.qber]
+            for rep in qber_bandwidth_sweep(scenario, plan["sweep"])
         ]
-        rows = _map_rows(_qber_row, args, jobs)
         qbers = [row[4] for row in rows]
         summary = (
             f"rows={len(rows)} qber_min={_fmt(min(qbers))} qber_max={_fmt(max(qbers))}"
         )
         return QBER_SWEEP_CSV_COLUMNS, rows, summary
     if task == "qfi-sweep":
-        channel, thetas, probe_count = plan["estimation"]
-        args = [(channel.squeezing_r, t, probe_count, timings) for t in thetas]
-        rows = _map_rows(_qfi_row, args, jobs)
+        rows = [
+            [rep.theta, rep.qfi, rep.cramer_rao_bound]
+            for rep in qfi_sweep(*plan["estimation"])
+        ]
         qfis = [row[1] for row in rows]
         summary = f"rows={len(rows)} qfi_max={_fmt(max(qfis))}"
         return QFI_SWEEP_CSV_COLUMNS, rows, summary
@@ -378,8 +351,6 @@ def execute_task(task: str, plan: dict, *, jobs: int = 1, timings: bool = False)
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return "%.17g" % float(value)
 
 
@@ -392,11 +363,11 @@ def render_csv(columns, rows) -> str:
 def render_json(task, columns, rows) -> str:
     """Fixed-shape JSON: ``{"task", "columns", "rows"}``.
 
-    Floats are printed with 17 significant digits; non-finite values and
-    absent cells become ``null`` (JSON has no spelling for infinities).
+    Floats are printed with 17 significant digits; non-finite values become
+    ``null`` (JSON has no spelling for infinities).
     """
     def cell(v):
-        if v is None or not math.isfinite(float(v)):
+        if not math.isfinite(v):
             return "null"
         return _fmt(v)
 
@@ -436,9 +407,7 @@ def _cmd_run(args) -> int:
     plan, found = collect_violations(cfg, task)
     if found:
         raise found[0][1]
-    columns, rows, summary = execute_task(
-        task, plan, jobs=args.jobs, timings=args.timings
-    )
+    columns, rows, summary = execute_task(task, plan)
     out_cfg = cfg.get("output", {})
     path = args.output if args.output is not None else out_cfg.get("path")
     fmt = args.format if args.format is not None else out_cfg.get("format", "csv")
@@ -473,14 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output", default=None, help="override output.path")
     run_p.add_argument(
         "--format", default=None, choices=("csv", "json"), help="override output.format"
-    )
-    run_p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for sweep rows"
-    )
-    run_p.add_argument(
-        "--timings",
-        action="store_true",
-        help="fill per-row runtime columns (breaks byte-for-byte determinism)",
     )
     run_p.set_defaults(func=_cmd_run)
     val_p = sub.add_parser("validate", help="check a scenario file without running it")

@@ -46,7 +46,3 @@ class QuadratureError(NumericalError):
 
 class NonPhysicalState(NumericalError):
     """A covariance matrix violates the uncertainty bound."""
-
-
-class StepUnderflow(NumericalError):
-    """A finite difference step shrank below the supported floor."""

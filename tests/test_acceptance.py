@@ -377,7 +377,7 @@ def test_criterion_09_three_mode_mixer_unitarity():
 
 
 def _cli_corpus(tmp_path):
-    """Twenty scenario files with their expected exit codes."""
+    """Twenty-two scenario files with their expected exit codes."""
     W = {"kind": "gaussian", "omega0_rad_s": W0, "sigma_rad_s": SIG, "phase_rad": 0.0}
 
     def link(task):
@@ -424,6 +424,8 @@ def _cli_corpus(tmp_path):
     corpus.append(("v-qfi", cfg, 0))
     cfg = {"task": "qfi-sweep", "estimation": {"squeezing_r": 0.2, "theta_rad": [0.3]}}
     corpus.append(("v-qfi-default-probes", cfg, 0))
+    cfg = {"task": "qfi-sweep", "estimation": {"squeezing_r": 40.0, "theta_rad": [0.0, 1e-9, math.pi / 2.0]}}
+    corpus.append(("v-qfi-strong-squeezing-endpoints", cfg, 0))
 
     corpus.append(("s-no-task", {"body": {"mass_kg": 1.0e24}}, 2))
     corpus.append(("s-bad-task", {"task": "resonance"}, 2))
@@ -461,12 +463,14 @@ def _cli_corpus(tmp_path):
     corpus.append(("d-angle-range", cfg, 3))
     cfg = {"task": "qfi-sweep", "estimation": {"squeezing_r": 0.3, "theta_rad": [0.1], "probe_count": 0}}
     corpus.append(("d-zero-probes", cfg, 3))
+    cfg = {"task": "qfi-sweep", "estimation": {"squeezing_r": 800.0, "theta_rad": [0.3]}}
+    corpus.append(("d-squeezing-overflow", cfg, 3))
     cfg = link("qber-sweep")
     cfg["photon"] = grid_record
     cfg["sweep"] = {"sigma_rad_s": [SIG, 2.0 * SIG]}
     corpus.append(("d-sweep-needs-width", cfg, 3))
 
-    assert len(corpus) == 20
+    assert len(corpus) == 22
     paths = []
     for name, cfg, expected in corpus:
         p = tmp_path / f"{name}.json"
@@ -491,18 +495,20 @@ def test_criterion_10_cli_golden_files_and_mode_agreement(tmp_path, capsys):
         assert cli.main(["run", cfg, "--output", str(out_b)]) == 0
         assert out_a.read_bytes() == expected, task
         assert out_b.read_bytes() == expected, task
-        if task.endswith("sweep"):
-            out_c = tmp_path / f"{task}-c.{suffix}"
-            assert cli.main(["run", cfg, "--output", str(out_c), "--jobs", "3"]) == 0
-            assert out_c.read_bytes() == expected, task
     capsys.readouterr()
 
+    table = tmp_path / "scratch.out"
     for name, path, expected in _cli_corpus(tmp_path):
+        table.unlink(missing_ok=True)
         val_code = cli.main(["validate", path])
-        run_code = cli.main(
-            ["run", path, "--output", str(tmp_path / "scratch.out")]
-        )
-        capsys.readouterr()
+        val_out = capsys.readouterr().out
+        run_code = cli.main(["run", path, "--output", str(table)])
+        run_err = capsys.readouterr().err
         assert val_code == expected, name
         assert run_code == expected, name
+        if expected == 0:
+            cells = [c for line in table.read_text().splitlines()[1:] for c in line.split(",")]
+            assert all(math.isfinite(float(c)) for c in cells), name
+        if expected == 3:
+            assert json.loads(run_err)["error"] == val_out.split(": ")[1], name
     assert time.perf_counter() - t0 < 120.0

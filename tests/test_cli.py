@@ -1,4 +1,3 @@
-import concurrent.futures
 import importlib.metadata
 import json
 import math
@@ -226,47 +225,6 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_worker_pool_matches_serial_run(tmp_path, capsys):
-    for task in ("qber-sweep", "qfi-sweep"):
-        path = write_config(tmp_path, config_for(task), f"{task}.json")
-        serial, pooled = tmp_path / f"{task}-1.csv", tmp_path / f"{task}-2.csv"
-        assert run_cli(capsys, ["run", path, "--output", str(serial)])[0] == 0
-        assert run_cli(
-            capsys, ["run", path, "--output", str(pooled), "--jobs", "2"]
-        )[0] == 0
-        assert serial.read_bytes() == pooled.read_bytes()
-
-
-def test_worker_pool_starts_at_most_one_worker_per_row(tmp_path, capsys, monkeypatch):
-    # ProcessPoolExecutor starts all of its workers up front, so a stub
-    # stands in for it: it records the pool size and maps in this process
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    # a module-level import of the executor must not reach the real pool either
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool, raising=False)
-    golden = Path(__file__).parent / "golden"
-    cfg = golden / "qber-sweep.json"
-    rows = len(json.loads(cfg.read_text())["sweep"]["sigma_rad_s"])
-    out = tmp_path / "pooled.csv"
-    assert run_cli(capsys, ["run", str(cfg), "--output", str(out), "--jobs", "64"])[0] == 0
-    assert sizes and all(size <= rows for size in sizes)
-    assert out.read_bytes() == (golden / "qber-sweep.expected.csv").read_bytes()
-
-
 def test_qber_rows_match_library_results(tmp_path, capsys):
     cfg = config_for("qber-sweep")
     path = write_config(tmp_path, cfg)
@@ -291,29 +249,24 @@ def test_qber_rows_match_library_results(tmp_path, capsys):
         assert qber == rep.qber
 
 
-def test_runtime_column_empty_unless_requested(tmp_path, capsys):
-    path = write_config(tmp_path, config_for("qfi-sweep"))
-    code, out, _ = run_cli(capsys, ["run", path])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "theta,qfi,cr_bound,fidelity_step,runtime_ms"
-    assert all(line.endswith(",") for line in lines[1:])
-
-    code, out, _ = run_cli(capsys, ["run", path, "--timings"])
-    assert code == 0
-    for line in out.strip().splitlines()[1:]:
-        assert float(line.split(",")[4]) > 0.0
-
-
 def test_json_rows_use_null_for_missing_cells(tmp_path, capsys):
-    path = write_config(tmp_path, config_for("qfi-sweep"))
-    code, out, _ = run_cli(capsys, ["run", path, "--format", "json"])
+    # an unsqueezed probe carries no information, so its bound is infinite
+    cfg = config_for("qfi-sweep")
+    cfg["estimation"]["squeezing_r"] = 0.0
+    code, out, _ = run_cli(capsys, ["run", write_config(tmp_path, cfg), "--format", "json"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["columns"][-1] == "runtime_ms"
-    for row in doc["rows"]:
-        assert row[-1] is None
-        assert all(isinstance(v, float) for v in row[:-1])
+    assert doc["columns"] == ["theta", "qfi", "cr_bound"]
+    assert doc["rows"] == [[theta, 0.0, None] for theta in cfg["estimation"]["theta_rad"]]
+
+
+def test_removed_run_flags_exit_two(tmp_path, capsys):
+    path = write_config(tmp_path, config_for("qber-sweep"))
+    for flags in (["--jobs", "2"], ["--timings"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", path, *flags])
+        assert exc.value.code == 2, flags
+    capsys.readouterr()
 
 
 def test_numerical_failure_exits_four(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,6 @@
 """Modules of the package use each other only through public names, no
-module imports scipy, and importing the package or running the CLI on
-Gaussian or tabulated-photon configs loads neither scipy nor a process
-pool."""
+module imports scipy or a process pool, and importing the package or
+running the CLI on Gaussian or tabulated-photon configs loads neither."""
 
 import ast
 import json
@@ -38,21 +37,26 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-def _scipy_imports(path):
+# concurrent holds only concurrent.futures
+_BANNED = ("scipy", "multiprocessing", "concurrent")
+
+
+def _banned_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] == "scipy":
+                if alias.name.split(".")[0] in _BANNED:
                     yield path.stem, alias.name
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if (node.module or "").split(".")[0] == "scipy":
+            if (node.module or "").split(".")[0] in _BANNED:
                 for alias in node.names:
                     yield path.stem, f"{node.module}.{alias.name}"
 
 
 def test_no_module_imports_scipy():
-    found = {imp for path in sorted(PACKAGE.glob("*.py")) for imp in _scipy_imports(path)}
+    # nor a process pool: every table is computed in the calling process
+    found = {imp for path in sorted(PACKAGE.glob("*.py")) for imp in _banned_imports(path)}
     assert found == set()
 
 
@@ -93,8 +97,8 @@ CLI_PROBE = (
 
 
 def test_gaussian_cli_runs_load_no_scipy_or_process_pool(tmp_path):
-    # the process pool is only needed by --jobs, so neither importing the CLI
-    # nor a serial run or validate of the Gaussian goldens may load it
+    # the CLI computes every table in its own process, so neither importing
+    # it nor a run or validate of the Gaussian goldens may load a process pool
     tasks = ("redshift", "overlap", "qber-sweep", "qfi-sweep")
     configs = [str(GOLDEN / f"{task}.json") for task in tasks]
     codes, loaded = json.loads(_child(CLI_PROBE, str(tmp_path / "table.out"), *configs))

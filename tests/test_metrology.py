@@ -13,7 +13,6 @@ from graviphoton import (
     EstimationReport,
     FidelityInputs,
     SensingChannel,
-    StepUnderflow,
     apply_symplectic,
     build_sensing_channel,
     cramer_rao_bound,
@@ -24,11 +23,13 @@ from graviphoton import (
     mean_photon_number,
     qfi_finite_difference,
     qfi_sweep,
+    sensing_qfi,
     state_coherent,
     state_thermal,
     state_vacuum,
     tensor_product,
 )
+from graviphoton.metrology import MAX_SQUEEZING_R
 
 
 def fid(a, b):
@@ -169,26 +170,16 @@ def test_probe_count_scales_the_bound():
     assert many.cramer_rao_bound == pytest.approx(one.cramer_rao_bound / 25.0, rel=1e-15)
 
 
-def test_step_floor_is_enforced():
-    with pytest.raises(StepUnderflow, match="floor"):
-        qfi_finite_difference(squeezed_vacuum, 0.2, base_step=1e-13)
-    with pytest.raises(DomainError):
-        qfi_finite_difference(squeezed_vacuum, 0.2, base_step=-1e-3)
-    with pytest.raises(DomainError):
-        qfi_finite_difference(squeezed_vacuum, 0.2, base_step=math.nan)
-
-
 def test_estimation_report_is_frozen():
-    rep = EstimationReport(
-        theta=0.1, qfi=1.0, cramer_rao_bound=1.0, probe_count=1, step_used=1e-4
-    )
+    rep = EstimationReport(theta=0.1, qfi=1.0, cramer_rao_bound=1.0, probe_count=1)
     with pytest.raises(AttributeError):
         rep.qfi = 2.0
 
 
 def test_sensing_channel_validation():
-    with pytest.raises(DomainError):
-        SensingChannel(math.inf)
+    for r in (math.inf, math.nan, MAX_SQUEEZING_R + 1.0, -800.0):
+        with pytest.raises(DomainError, match="squeezing_r"):
+            SensingChannel(r)
     _, tap = build_sensing_channel(SensingChannel(0.3))
     with pytest.raises(DomainError):
         tap(3.0)
@@ -207,14 +198,83 @@ def test_sensing_initial_state_occupation():
 
 
 def test_qfi_sweep_matches_pointwise_calls():
-    _, tap = build_sensing_channel(SensingChannel(0.25))
+    channel = SensingChannel(0.25)
     thetas = [0.05, 0.1, 0.2]
-    reports = qfi_sweep(lambda th: tap(th), thetas, probe_count=3)
+    reports = qfi_sweep(channel, thetas, probe_count=3)
+    assert reports == [sensing_qfi(channel, th, probe_count=3) for th in thetas]
     assert [r.theta for r in reports] == thetas
-    for rep, th in zip(reports, thetas):
-        solo = qfi_finite_difference(lambda t: tap(t), th, probe_count=3)
-        assert rep.qfi == solo.qfi
-        assert rep.probe_count == 3
+    assert all(r.probe_count == 3 for r in reports)
+
+
+def test_sensing_qfi_matches_number_basis_sld():
+    # the circuit of criterion 07: the reduced state's derivative is exact,
+    # from the generator of the two beamsplitters acting on the pure state
+    r, dim = 0.3, 10
+    gen = fo.generator_beamsplitter(1.0, (0, 2), 4, dim) + fo.generator_beamsplitter(
+        1.0, (1, 3), 4, dim
+    )
+    for theta in (0.05, 0.4, 1.2):
+        gates = [("tms", r, (0, 1)), ("bs", theta, (0, 2)), ("bs", theta, (1, 3))]
+        psi = fo.run_circuit(gates, 4, dim)
+        dpsi = gen @ psi
+        rho = fo.reduce_to_modes_01(psi, dim)
+        # Tr_23 of (psi + dpsi)(psi + dpsi)^+ minus the same with -dpsi
+        drho = (
+            fo.reduce_to_modes_01(psi + dpsi, dim) - fo.reduce_to_modes_01(psi - dpsi, dim)
+        ) / 2.0
+        want = fo.sld_qfi(rho, drho)
+        assert sensing_qfi(SensingChannel(r), theta).qfi == pytest.approx(want, rel=2e-9)
+
+
+def _sensing_tap(r):
+    _, tap = build_sensing_channel(SensingChannel(r))
+    return tap
+
+
+def test_sensing_channel_is_symmetric_pure_loss():
+    eye = np.eye(4)
+    for r in (0.3, 1.0, 3.0):
+        tap = _sensing_tap(r)
+        sigma0 = tap(0.0).covariance
+        for theta in (0.0, 0.05, 0.4, 1.2, math.pi / 2.0):
+            want = eye + math.cos(theta) ** 2 * (sigma0 - eye)
+            assert np.max(np.abs(tap(theta).covariance - want)) < 1e-13
+
+
+def test_sensing_qfi_matches_gaussian_qfi_formula():
+    # H = 1/2 vec(dsigma)^+ (conj(sigma) (x) sigma - K (x) K)^-1 vec(dsigma)
+    # (Safranek, J. Phys. A 52, 035304, 2019).  Near theta = 0 the squeezed
+    # covariance makes this 16x16 solve ill-conditioned (3e-7 off at r = 3,
+    # theta = 0.05), so the angles stay interior
+    eye = np.eye(4)
+    k = np.diag([1.0, 1.0, -1.0, -1.0])
+    for r in (0.3, 1.0, 3.0):
+        tap = _sensing_tap(r)
+        sigma0 = tap(0.0).covariance
+        for theta in (0.4, 0.8, 1.2):
+            sigma = tap(theta).covariance
+            vec = (-math.sin(2.0 * theta) * (sigma0 - eye)).reshape(-1, order="F")
+            m = np.kron(sigma.conj(), sigma) - np.kron(k, k)
+            want = 0.5 * float(np.vdot(vec, np.linalg.solve(m, vec)).real)
+            got = sensing_qfi(SensingChannel(r), theta).qfi
+            assert got == pytest.approx(want, rel=1e-10), (r, theta)
+
+
+def test_sensing_qfi_endpoints_and_parity():
+    for r in (0.1, 0.3, 3.0, 40.0, MAX_SQUEEZING_R):
+        endpoint = 8.0 * math.sinh(r) ** 2
+        assert sensing_qfi(SensingChannel(r), 0.0).qfi == pytest.approx(endpoint, rel=1e-15)
+        for theta in (0.0, 1e-9, 0.3, 1.2, math.pi / 2.0):
+            rep = sensing_qfi(SensingChannel(r), theta)
+            assert math.isfinite(rep.qfi) and math.isfinite(rep.cramer_rao_bound)
+            assert rep == sensing_qfi(SensingChannel(-r), theta)
+    assert sensing_qfi(SensingChannel(0.3), math.pi / 2.0).qfi == pytest.approx(
+        8.0 * math.sinh(0.3) ** 2, rel=1e-15
+    )
+    still = sensing_qfi(SensingChannel(0.0), 0.4)
+    assert still.qfi == 0.0 and still.cramer_rao_bound == math.inf
+    with pytest.raises(DomainError):
+        sensing_qfi(SensingChannel(0.3), 3.0)
 
 
 @given(
