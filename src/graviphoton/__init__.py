@@ -8,6 +8,10 @@ with ``spline`` fitting and integrating the splines of tabulated ones;
 ``metrology`` turns state distinguishability into Fisher information and
 estimation bounds; ``protocols`` converts mode mismatch into interference
 error rates; ``cli`` drives all of it from JSON scenario files.
+
+Every module loads with the package, but numpy loads on its first use:
+Gaussian photons, redshifts, QBER sweeps and the sensing QFI are closed
+forms in ``math``, so a CLI run of those tasks never imports numpy.
 """
 
 from .constants import (

@@ -45,6 +45,7 @@ from .protocols import (
     check_sigma_grid,
     check_sweep_profile,
     qber_bandwidth_sweep,
+    sweep_profiles,
 )
 from .spacetime import (
     ObserverPath,
@@ -291,7 +292,9 @@ def collect_violations(cfg: dict, task: str) -> tuple[dict, list]:
             if "body" in plan and name in plan:
                 _attempt(found, name, clock_rate_squared, plan["body"], plan[name])
     if task == "qber-sweep" and "photon" in plan:
-        _attempt(found, "photon", check_sweep_profile, plan["photon"])
+        swept = _attempt(found, "photon", check_sweep_profile, plan["photon"])
+        if swept is not None and "sweep" in plan:
+            _attempt(found, "sweep", sweep_profiles, swept, plan["sweep"])
     if link and not found:
         plan["redshift"] = redshift_between(plan["body"], plan["emitter"], plan["receiver"])
     return plan, found

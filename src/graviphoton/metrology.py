@@ -13,12 +13,10 @@ takes it from the decay of the fidelity under a small parameter step,
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import NumpyOnFirstUse
 from .errors import DimensionMismatch, DomainError, NumericalError
 from .symplectic import (
     GaussianState,
@@ -30,7 +28,7 @@ from .symplectic import (
     state_vacuum,
 )
 
-logger = logging.getLogger(__name__)
+np = NumpyOnFirstUse(globals())
 
 _CLAMP_TOL = 1e-9
 _PURITY_TOL = 1e-10
@@ -125,7 +123,11 @@ def gaussian_fidelity(pair: FidelityInputs) -> float:
         if x < 0.0:
             if x < -_CLAMP_TOL * scale:
                 raise NumericalError(f"fidelity determinant {name} is negative: {x:.3e}")
-            logger.debug("clamping slightly negative %s = %.3e to zero", name, x)
+            import logging  # here only, so runs that never clamp do not load it
+
+            logging.getLogger(__name__).debug(
+                "clamping slightly negative %s = %.3e to zero", name, x
+            )
             x = 0.0
         return math.sqrt(x)
 

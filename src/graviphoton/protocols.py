@@ -109,6 +109,16 @@ def check_sigma_grid(sigma_grid) -> list[float]:
     return sigmas
 
 
+def sweep_profiles(profile, sigmas) -> list[GaussianProfile]:
+    """``profile`` at each width in ``sigmas``, built by :class:`GaussianProfile`.
+
+    Each width thus meets the profile's own rules, the carrier to width
+    ratio among them.
+    """
+    base = check_sweep_profile(profile)
+    return [replace(base, sigma_rad_s=s) for s in sigmas]
+
+
 def _check_efficiency(efficiency: float) -> float:
     efficiency = float(efficiency)
     if not (0.0 <= efficiency <= 1.0):
@@ -166,6 +176,6 @@ def qber_bandwidth_sweep(
     chi = link_redshift(scenario)
     efficiency = _check_efficiency(efficiency)
     return [
-        qber_at_chi(replace(base, sigma_rad_s=s), chi, efficiency, sigma_rad_s=s)
-        for s in sigmas
+        qber_at_chi(p, chi, efficiency, sigma_rad_s=p.sigma_rad_s)
+        for p in sweep_profiles(base, sigmas)
     ]

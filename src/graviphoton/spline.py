@@ -9,10 +9,17 @@ vectorized numpy; nothing loops over nodes in Python.
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
-# integral over [0, 1] of s^(3-j) s^(3-k), for the product of two cubics
-_GRAM = 1.0 / (7.0 - np.arange(4)[:, None] - np.arange(4)[None, :])
+from ._lazy import NumpyOnFirstUse
+
+np = NumpyOnFirstUse(globals())
+
+
+@functools.cache
+def _gram():
+    """Integrals over [0, 1] of s^(3-j) s^(3-k), for the product of two cubics."""
+    return 1.0 / (7.0 - np.arange(4)[:, None] - np.arange(4)[None, :])
 
 
 def not_a_knot(x, y):
@@ -136,7 +143,7 @@ def overlap(xa, ca, xb, cb):
     width = np.diff(edges)
     a = _panel_cubics(xa, ca, edges[:-1], width)
     b = a if (xb is xa and cb is ca) else _panel_cubics(xb, cb, edges[:-1], width)
-    return complex(np.sum(width * np.sum(np.conj(a) * (_GRAM @ b), axis=0)))
+    return complex(np.sum(width * np.sum(np.conj(a) * (_gram() @ b), axis=0)))
 
 
 def _panel_cubics(x, c, left, width):

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._lazy import NumpyOnFirstUse
 from .errors import (
     DimensionMismatch,
     DomainError,
     NonPhysicalState,
     NumericalError,
 )
+
+np = NumpyOnFirstUse(globals())
 
 STRUCTURE_TOL = 1e-12
 PHYSICALITY_TOL = 1e-10

@@ -12,7 +12,7 @@ for two Gaussians and for two tabulated profiles (whose cubic splines,
 fitted by :mod:`graviphoton.spline`, multiply to a degree six polynomial
 between nodes), and by a nested four/seven point Gauss rule per panel,
 with a checked error estimate, for a Gaussian with a tabulated profile.
-The package needs numpy only.
+Only tabulated profiles use numpy, which loads on their first use.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import spline
+from ._lazy import NumpyOnFirstUse
 from .errors import ConfigParseError, DomainError, NormalizationError, QuadratureError
 from .spacetime import RedshiftFactor
+
+np = NumpyOnFirstUse(globals())
 
 NORM_TOL = 1e-9
 QUAD_ABS_TOL = 1e-10
@@ -319,16 +320,17 @@ def overlap(a, b) -> complex:
     and a tabulated profile are integrated panel by panel between the
     spline nodes with a nested four/seven point Gauss rule (11 evaluations
     per panel), whose difference is the error estimate checked against
-    ``QUAD_ABS_TOL``.  The panel count is checked against
-    ``QUAD_EVAL_BUDGET`` before any work on the panels: 11 evaluations per
-    panel for a mixed pair, and 4 per panel (the cost of the exact four
-    point rule) for two tabulated profiles.
+    ``QUAD_ABS_TOL``.  The panel count is checked before any work on the
+    panels: a mixed pair may use up to ``QUAD_EVAL_BUDGET`` evaluations, 11
+    per panel, and two tabulated profiles, which evaluate no point, may span
+    up to ``QUAD_EVAL_BUDGET / 4`` = 262,144 panels (the error message
+    counts them as 4 evaluations each).
 
     Raises
     ------
     QuadratureError
-        If a tabulated overlap exceeds the evaluation budget, or a mixed
-        one cannot meet the error estimate.
+        If a tabulated overlap exceeds its panel limit or evaluation
+        budget, or a mixed one cannot meet the error estimate.
     """
     if isinstance(a, GaussianProfile) and isinstance(b, GaussianProfile):
         sa, sb = a.sigma_rad_s, b.sigma_rad_s

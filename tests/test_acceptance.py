@@ -377,7 +377,7 @@ def test_criterion_09_three_mode_mixer_unitarity():
 
 
 def _cli_corpus(tmp_path):
-    """Twenty-two scenario files with their expected exit codes."""
+    """Twenty-three scenario files with their expected exit codes."""
     W = {"kind": "gaussian", "omega0_rad_s": W0, "sigma_rad_s": SIG, "phase_rad": 0.0}
 
     def link(task):
@@ -469,8 +469,12 @@ def _cli_corpus(tmp_path):
     cfg["photon"] = grid_record
     cfg["sweep"] = {"sigma_rad_s": [SIG, 2.0 * SIG]}
     corpus.append(("d-sweep-needs-width", cfg, 3))
+    cfg = link("qber-sweep")
+    cfg["photon"] = {"kind": "gaussian", "omega0_rad_s": 1000.0, "sigma_rad_s": 10.0}
+    cfg["sweep"] = {"sigma_rad_s": [10.0, 200.0]}  # omega0/sigma = 5 at the second width
+    corpus.append(("d-sweep-width-beyond-carrier", cfg, 3))
 
-    assert len(corpus) == 22
+    assert len(corpus) == 23
     paths = []
     for name, cfg, expected in corpus:
         p = tmp_path / f"{name}.json"

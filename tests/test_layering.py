@@ -1,6 +1,7 @@
 """Modules of the package use each other only through public names, no
 module imports scipy or a process pool, and importing the package or
-running the CLI on Gaussian or tabulated-photon configs loads neither."""
+running the CLI on Gaussian or tabulated-photon configs loads neither.
+numpy loads on first use: a Gaussian run never loads it."""
 
 import ast
 import json
@@ -81,29 +82,39 @@ def test_import_loads_no_adaptive_integrator():
     assert _child(probe) == "[]"
 
 
-# runs `run` and `validate` on each config given, then prints the exit codes
-# and every scipy, multiprocessing or process-pool module loaded
+# imports the package, then runs `run` and `validate` on each config given;
+# prints the exit codes and the loaded modules whose top-level name is in the
+# comma-separated list given, plus any process pool, once after the import
+# and once after the runs
 CLI_PROBE = (
-    "import json, sys, graviphoton, graviphoton.cli as cli\n"
-    "out = sys.argv[1]\n"
+    "import json, sys\n"
+    "out, watched = sys.argv[1], sys.argv[2].split(',')\n"
+    "def loaded():\n"
+    "    return sorted(m for m in sys.modules if m == 'concurrent.futures.process'\n"
+    "                  or m.split('.')[0] in watched)\n"
+    "import graviphoton, graviphoton.cli as cli\n"
+    "at_import = loaded()\n"
     "codes = []\n"
-    "for cfg in sys.argv[2:]:\n"
+    "for cfg in sys.argv[3:]:\n"
     "    codes.append(cli.main(['run', cfg, '--output', out]))\n"
     "    codes.append(cli.main(['validate', cfg]))\n"
-    "loaded = sorted(m for m in sys.modules if m == 'concurrent.futures.process'\n"
-    "                or m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
-    "print(json.dumps([codes, loaded]))\n"
+    "print(json.dumps([codes, at_import, loaded()]))\n"
 )
+WATCHED = "scipy,multiprocessing,numpy,logging"
 
 
 def test_gaussian_cli_runs_load_no_scipy_or_process_pool(tmp_path):
-    # the CLI computes every table in its own process, so neither importing
-    # it nor a run or validate of the Gaussian goldens may load a process pool
+    # Gaussian tables are closed forms in math, and every table is computed
+    # in the CLI's own process: neither importing the package nor a run or
+    # validate of the Gaussian goldens may load numpy, logging or a pool
     tasks = ("redshift", "overlap", "qber-sweep", "qfi-sweep")
     configs = [str(GOLDEN / f"{task}.json") for task in tasks]
-    codes, loaded = json.loads(_child(CLI_PROBE, str(tmp_path / "table.out"), *configs))
+    codes, at_import, after_runs = json.loads(
+        _child(CLI_PROBE, str(tmp_path / "table.out"), WATCHED, *configs)
+    )
     assert codes == [0] * 2 * len(tasks)
-    assert loaded == []
+    assert at_import == []
+    assert after_runs == []
 
 
 def test_grid_photon_cli_runs_load_no_scipy(tmp_path):
@@ -121,6 +132,33 @@ def test_grid_photon_cli_runs_load_no_scipy(tmp_path):
     cfg.pop("output", None)
     path = tmp_path / "grid-overlap.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    codes, loaded = json.loads(_child(CLI_PROBE, str(tmp_path / "table.out"), str(path)))
+    codes, at_import, after_runs = json.loads(
+        _child(CLI_PROBE, str(tmp_path / "table.out"), WATCHED, str(path))
+    )
     assert codes == [0, 0]
-    assert loaded == []
+    assert at_import == []
+    # numpy is loaded, and nothing else watched
+    assert {m.split(".")[0] for m in after_runs} == {"numpy"}
+
+
+# binds numpy, then calls one function of each module that uses it and
+# prints, before and after, whether each module's global np is numpy itself
+REBIND_PROBE = (
+    "import json, numpy\n"
+    "from graviphoton import metrology, spline, symplectic, wavepacket\n"
+    "modules = (metrology, spline, symplectic, wavepacket)\n"
+    "before = [m.np is numpy for m in modules]\n"
+    "metrology.FidelityInputs([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])\n"
+    "spline.not_a_knot([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0])\n"
+    "symplectic.symplectic_form(1)\n"
+    "wavepacket.GaussianProfile(10.0, 1.0)(10.0)\n"
+    "print(json.dumps([before, [m.np is numpy for m in modules]]))\n"
+)
+
+
+def test_first_use_rebinds_each_module_np_to_numpy():
+    # hot loops look np up as a global; after the first call that global
+    # must be numpy itself, not the stand-in that forwards to it
+    before, after = json.loads(_child(REBIND_PROBE))
+    assert before == [False] * 4
+    assert after == [True] * 4
