@@ -35,7 +35,6 @@ from .errors import (
     QuadratureError,
 )
 from .metrology import (
-    QFI_SWEEP_CSV_COLUMNS,
     EstimationReport,
     FidelityInputs,
     SensingChannel,
@@ -47,7 +46,6 @@ from .metrology import (
     sensing_qfi,
 )
 from .protocols import (
-    QBER_SWEEP_CSV_COLUMNS,
     LinkScenario,
     QberReport,
     interference_qber,

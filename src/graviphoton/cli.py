@@ -2,9 +2,10 @@
 
 ``graviphoton run <config.json>`` executes one task described by a JSON
 scenario file and emits a table; ``graviphoton validate <config.json>``
-checks the same file without executing anything and lists every violation
-it can find.  All floating point output uses 17 significant digits so that
-values survive a round trip through text.
+takes the same path through the same file, lists every violation it can
+find and, when there is none, computes the table without writing it, so it
+exits as ``run`` would.  All floating point output uses 17 significant
+digits so that values survive a round trip through text.
 
 Config layout (keys carry their units as suffixes)::
 
@@ -33,14 +34,12 @@ import time
 
 from .errors import ConfigParseError, DomainError, GraviphotonError
 from .metrology import (
-    QFI_SWEEP_CSV_COLUMNS,
     SensingChannel,
     check_probe_angle,
     check_probe_count,
     qfi_sweep,
 )
 from .protocols import (
-    QBER_SWEEP_CSV_COLUMNS,
     LinkScenario,
     check_sigma_grid,
     check_sweep_profile,
@@ -82,6 +81,8 @@ OVERLAP_CSV_COLUMNS = (
     "mixing_theta_rad",
     "mixing_phi_rad",
 )
+QBER_SWEEP_CSV_COLUMNS = ("sigma_rad_s", "chi_sq_minus_1", "overlap_mag", "visibility", "qber")
+QFI_SWEEP_CSV_COLUMNS = ("theta", "qfi", "cr_bound")
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +119,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require_dict(cfg, key):
-    block = cfg[key]
-    if not isinstance(block, dict):
-        raise ConfigParseError(f"block {key!r} must be a JSON object")
-    return block
-
-
 def _number(block, path, key):
     if key not in block:
         raise ConfigParseError(f"{path} is missing key {key!r}")
@@ -157,11 +151,12 @@ def _check_keys(block, path, allowed):
 
 
 def check_structure(cfg: dict) -> str:
-    """Shape-level validation of a decoded config; returns the task name.
+    """Top-level shape of a decoded config; returns the task name.
 
-    Everything checked here is about presence, spelling and JSON types.
-    Value-level rules (positivity, horizon bounds, grid ordering) are left
-    to the block builders so that ``validate`` can report them together.
+    Checks the top-level keys, the task name and that every block the task
+    needs is present.  The keys and JSON types inside a block are checked by
+    its builder in :func:`build_blocks`, which builds from the values it has
+    just read.
     """
     _check_keys(cfg, "config", _TOP_KEYS)
     if "task" not in cfg:
@@ -174,79 +169,72 @@ def check_structure(cfg: dict) -> str:
     for block in _TASK_BLOCKS[task]:
         if block not in cfg:
             raise ConfigParseError(f"task {task!r} requires block {block!r}")
-
-    if "body" in cfg:
-        body = _require_dict(cfg, "body")
-        _check_keys(body, "body", ("mass_kg", "r_s_m"))
-        if ("mass_kg" in body) == ("r_s_m" in body):
-            raise ConfigParseError(
-                "body requires exactly one of 'mass_kg' or 'r_s_m'"
-            )
-        key = "mass_kg" if "mass_kg" in body else "r_s_m"
-        _number(body, "body", key)
-    for name in ("emitter", "receiver"):
-        if name in cfg:
-            obs = _require_dict(cfg, name)
-            _check_keys(obs, name, ("type", "radius_m"))
-            if obs.get("type") not in ("static", "orbit"):
-                raise ConfigParseError(
-                    f"{name}.type must be 'static' or 'orbit', got {obs.get('type')!r}"
-                )
-            _number(obs, name, "radius_m")
-    if "photon" in cfg:
-        photon = _require_dict(cfg, "photon")
-        if "kind" not in photon:
-            raise ConfigParseError("photon is missing key 'kind'")
-    if "sweep" in cfg:
-        sweep = _require_dict(cfg, "sweep")
-        _check_keys(sweep, "sweep", ("sigma_rad_s",))
-        _number_list(sweep, "sweep", "sigma_rad_s")
-    if "estimation" in cfg:
-        est = _require_dict(cfg, "estimation")
-        _check_keys(est, "estimation", ("squeezing_r", "theta_rad", "probe_count"))
-        _number(est, "estimation", "squeezing_r")
-        _number_list(est, "estimation", "theta_rad")
-        if "probe_count" in est:
-            pc = est["probe_count"]
-            if isinstance(pc, bool) or not isinstance(pc, int):
-                raise ConfigParseError("estimation.probe_count must be an integer")
-    if "output" in cfg:
-        out = _require_dict(cfg, "output")
-        _check_keys(out, "output", ("format", "path"))
-        if "format" in out and out["format"] not in ("csv", "json"):
-            raise ConfigParseError(
-                f"output.format must be 'csv' or 'json', got {out['format']!r}"
-            )
-        if "path" in out and not isinstance(out["path"], str):
-            raise ConfigParseError("output.path must be a string")
     return task
 
 
-def _build_body(body: dict) -> SchwarzschildGeometry:
+def _build_body(body: dict, path: str) -> SchwarzschildGeometry:
+    _check_keys(body, path, ("mass_kg", "r_s_m"))
+    if ("mass_kg" in body) == ("r_s_m" in body):
+        raise ConfigParseError(f"{path} requires exactly one of 'mass_kg' or 'r_s_m'")
     if "mass_kg" in body:
-        return SchwarzschildGeometry.from_mass(body["mass_kg"])
-    return SchwarzschildGeometry(body["r_s_m"])
+        return SchwarzschildGeometry.from_mass(_number(body, path, "mass_kg"))
+    return SchwarzschildGeometry(_number(body, path, "r_s_m"))
 
 
-def _build_observer(obs: dict) -> ObserverPath:
-    return ObserverPath(obs["type"], obs["radius_m"])
+def _build_observer(obs: dict, path: str) -> ObserverPath:
+    _check_keys(obs, path, ("type", "radius_m"))
+    if obs.get("type") not in ("static", "orbit"):
+        raise ConfigParseError(
+            f"{path}.type must be 'static' or 'orbit', got {obs.get('type')!r}"
+        )
+    return ObserverPath(obs["type"], _number(obs, path, "radius_m"))
 
 
-def _build_estimation(est: dict):
-    channel = SensingChannel(squeezing_r=float(est["squeezing_r"]))
-    thetas = [check_probe_angle(t) for t in est["theta_rad"]]
+def _build_photon(photon: dict, path: str):
+    if "kind" not in photon:
+        raise ConfigParseError(f"{path} is missing key 'kind'")
+    return profile_from_record(photon)
+
+
+def _build_sweep(sweep: dict, path: str) -> list[float]:
+    _check_keys(sweep, path, ("sigma_rad_s",))
+    return check_sigma_grid(_number_list(sweep, path, "sigma_rad_s"))
+
+
+def _build_estimation(est: dict, path: str):
+    _check_keys(est, path, ("squeezing_r", "theta_rad", "probe_count"))
+    squeezing_r = _number(est, path, "squeezing_r")
+    thetas = _number_list(est, path, "theta_rad")
+    probe_count = est.get("probe_count", 1)
+    if isinstance(probe_count, bool) or not isinstance(probe_count, int):
+        raise ConfigParseError(f"{path}.probe_count must be an integer")
+    channel = SensingChannel(squeezing_r=squeezing_r)
+    thetas = [check_probe_angle(t) for t in thetas]
     if not thetas:
-        raise DomainError("estimation.theta_rad must not be empty")
-    return channel, thetas, check_probe_count(est.get("probe_count", 1))
+        raise DomainError(f"{path}.theta_rad must not be empty")
+    return channel, thetas, check_probe_count(probe_count)
 
 
+def _build_output(out: dict, path: str) -> dict:
+    _check_keys(out, path, ("format", "path"))
+    if out.get("format", "csv") not in ("csv", "json"):
+        raise ConfigParseError(
+            f"{path}.format must be 'csv' or 'json', got {out['format']!r}"
+        )
+    if "path" in out and not isinstance(out["path"], str):
+        raise ConfigParseError(f"{path}.path must be a string")
+    return out
+
+
+# each takes a block and its name; in the order blocks are checked
 _BLOCK_BUILDERS = {
     "body": _build_body,
     "emitter": _build_observer,
     "receiver": _build_observer,
-    "photon": profile_from_record,
-    "sweep": lambda sweep: check_sigma_grid(sweep["sigma_rad_s"]),
+    "photon": _build_photon,
+    "sweep": _build_sweep,
     "estimation": _build_estimation,
+    "output": _build_output,
 }
 
 
@@ -260,16 +248,23 @@ def _attempt(found: list, field: str, rule, *args):
 
 
 def build_blocks(cfg: dict, found: list) -> dict:
-    """Construct domain objects for every block present in the config.
+    """Check and build every block present in the config, reading each once.
 
-    Unused blocks are built too: a config is either wholly valid or not,
-    independently of which task happens to reference a block.  A block that
-    fails is left out, its DomainError put on ``found`` as ``(field, error)``.
+    Blocks go in the order of ``_BLOCK_BUILDERS``.  Each builder checks its
+    block's keys and JSON types, raising ConfigParseError at the first
+    problem, before it hands the values it read to the constructors that
+    own the value rules.  Unused blocks are built too: a config is either
+    wholly valid or not, independently of which task happens to reference a
+    block.  A block that breaks a value rule is left out, its DomainError
+    put on ``found`` as ``(field, error)``.
     """
     built = {}
     for name, builder in _BLOCK_BUILDERS.items():
-        if name in cfg:
-            built[name] = _attempt(found, name, builder, cfg[name])
+        if name not in cfg:
+            continue
+        if not isinstance(cfg[name], dict):
+            raise ConfigParseError(f"block {name!r} must be a JSON object")
+        built[name] = _attempt(found, name, builder, cfg[name], name)
     return {name: obj for name, obj in built.items() if obj is not None}
 
 
@@ -277,15 +272,15 @@ def collect_violations(cfg: dict, task: str) -> tuple[dict, list]:
     """Plan a run: build every block, then resolve what the task needs.
 
     Returns ``(plan, found)``: ``plan`` maps block names, and ``"redshift"``
-    for link tasks, to domain objects; ``found`` lists every DomainError met,
-    as ``(field, error)`` in the order a run meets them.
+    for link tasks, to what their builders returned; ``found`` lists every
+    DomainError met, as ``(field, error)`` in the order a run meets them.
     """
     found = []
     plan = build_blocks(cfg, found)
     link = "receiver" in _TASK_BLOCKS[task]
     if link:
-        # kinds come from the config: check_structure vouches for them even
-        # where an observer block failed to build on its radius
+        # kinds come from the config: the observer builders checked them
+        # even where a block then failed to build on its radius
         kinds = (cfg["emitter"]["type"], cfg["receiver"]["type"])
         _attempt(found, "emitter", check_redshift_pair, *kinds)
         for name in ("emitter", "receiver"):
@@ -311,8 +306,10 @@ def execute_task(task: str, plan: dict):
         rows = [[chi.chi, chi.chi_squared, chi.z]]
         return REDSHIFT_CSV_COLUMNS, rows, f"chi={_fmt(chi.chi)}"
     if task == "overlap":
+        # divided by the photon's own norm squared: a tabulated photon meets
+        # unit norm only to NORM_TOL, a Gaussian's is exactly 1
         shifted = redshift_transform(profile, chi)
-        theta_val = overlap(profile, shifted)
+        theta_val = overlap(profile, shifted) / overlap(profile, profile).real
         mix_theta, mix_phi = mixing_angle(theta_val)
         magnitude = min(abs(theta_val), 1.0)
         rows = [
@@ -338,15 +335,14 @@ def execute_task(task: str, plan: dict):
             f"rows={len(rows)} qber_min={_fmt(min(qbers))} qber_max={_fmt(max(qbers))}"
         )
         return QBER_SWEEP_CSV_COLUMNS, rows, summary
-    if task == "qfi-sweep":
-        rows = [
-            [rep.theta, rep.qfi, rep.cramer_rao_bound]
-            for rep in qfi_sweep(*plan["estimation"])
-        ]
-        qfis = [row[1] for row in rows]
-        summary = f"rows={len(rows)} qfi_max={_fmt(max(qfis))}"
-        return QFI_SWEEP_CSV_COLUMNS, rows, summary
-    raise ConfigParseError(f"unknown task {task!r}")
+    # qfi-sweep, the one task left
+    rows = [
+        [rep.theta, rep.qfi, rep.cramer_rao_bound]
+        for rep in qfi_sweep(*plan["estimation"])
+    ]
+    qfis = [row[1] for row in rows]
+    summary = f"rows={len(rows)} qfi_max={_fmt(max(qfis))}"
+    return QFI_SWEEP_CSV_COLUMNS, rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +399,21 @@ def _emit(text: str, path):
 # commands
 
 
-def _cmd_run(args) -> int:
-    t_start = time.perf_counter()
-    cfg = load_config(args.config)
+def _plan(config_path: str):
+    """``(task, plan, found)`` of a config file: the path both commands take."""
+    cfg = load_config(config_path)
     task = check_structure(cfg)
     plan, found = collect_violations(cfg, task)
+    return task, plan, found
+
+
+def _cmd_run(args) -> int:
+    t_start = time.perf_counter()
+    task, plan, found = _plan(args.config)
     if found:
         raise found[0][1]
     columns, rows, summary = execute_task(task, plan)
-    out_cfg = cfg.get("output", {})
+    out_cfg = plan.get("output", {})
     path = args.output if args.output is not None else out_cfg.get("path")
     fmt = args.format if args.format is not None else out_cfg.get("format", "csv")
     text = render_csv(columns, rows) if fmt == "csv" else render_json(task, columns, rows)
@@ -425,11 +427,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    task = check_structure(cfg)
-    _, found = collect_violations(cfg, task)
+    task, plan, found = _plan(args.config)
     for field_path, exc in found:
         sys.stdout.write(f"{field_path}: {type(exc).__name__}: {exc}\n")
+    if not found:
+        # computed and dropped, so a numerical failure exits as in run
+        execute_task(task, plan)
     sys.stderr.write(f"task={task} violations={len(found)}\n")
     return 0 if not found else 3
 
@@ -447,7 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", default=None, choices=("csv", "json"), help="override output.format"
     )
     run_p.set_defaults(func=_cmd_run)
-    val_p = sub.add_parser("validate", help="check a scenario file without running it")
+    val_p = sub.add_parser(
+        "validate", help="check a scenario file and compute its table without writing it"
+    )
     val_p.add_argument("config", help="path to a JSON scenario file")
     val_p.set_defaults(func=_cmd_validate)
     return parser

@@ -36,8 +36,6 @@ _BASE_STEP_SCALE = 1e-4
 # the endpoint value 8 sinh^2 r of sensing_qfi overflows from |r| = 354.5
 MAX_SQUEEZING_R = 350.0
 
-QFI_SWEEP_CSV_COLUMNS = ("theta", "qfi", "cr_bound")
-
 
 class FidelityInputs:
     """Pair of zero-mean covariance matrices prepared for comparison."""
@@ -226,9 +224,9 @@ class SensingChannel:
     """Twin-beam probe interfering with two weak taps of angle ``theta``.
 
     A two-mode squeezed pair (modes ``b1, b2``) meets two vacuum ports
-    (``c1, c2``) on a pair of beamsplitters with angles ``theta1`` and
-    ``theta2``, the arguments of the map :func:`build_sensing_channel` returns;
-    the ``c`` ports are discarded.  Angles live in ``[0, pi/2]``, and
+    (``c1, c2``) on a pair of beamsplitters, both at the angle ``theta`` that
+    the map :func:`build_sensing_channel` returns takes; the ``c`` ports are
+    discarded.  Angles live in ``[0, pi/2]``, and
     ``|squeezing_r|`` is at most ``MAX_SQUEEZING_R``.
     """
 
@@ -253,22 +251,17 @@ def check_probe_angle(theta: float) -> float:
 def build_sensing_channel(channel: SensingChannel):
     """Initial four-mode state and the map from angles to the kept pair.
 
-    Returns ``(initial, apply)`` where ``apply(theta1, theta2=None)`` gives
-    the reduced two-mode state after the beamsplitters; a single argument is
-    used for both angles.
+    Returns ``(initial, apply)`` where ``apply(theta)`` gives the reduced
+    two-mode state after both beamsplitters at ``theta``.
     """
     squeezer = embed_symplectic(
         gate_two_mode_squeezer(channel.squeezing_r), 4, (0, 1)
     )
     initial = apply_symplectic(state_vacuum(4), squeezer)
 
-    def apply(theta1: float, theta2: float | None = None) -> GaussianState:
-        if theta2 is None:
-            theta2 = theta1
-        theta1, theta2 = check_probe_angle(theta1), check_probe_angle(theta2)
-        taps = embed_symplectic(gate_beamsplitter(theta1), 4, (0, 2)) @ embed_symplectic(
-            gate_beamsplitter(theta2), 4, (1, 3)
-        )
+    def apply(theta: float) -> GaussianState:
+        tap = gate_beamsplitter(check_probe_angle(theta))
+        taps = embed_symplectic(tap, 4, (0, 2)) @ embed_symplectic(tap, 4, (1, 3))
         return partial_trace(apply_symplectic(initial, taps), (0, 1))
 
     return initial, apply

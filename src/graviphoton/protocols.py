@@ -28,14 +28,6 @@ from .spacetime import (
 )
 from .wavepacket import GaussianProfile, overlap, redshift_transform
 
-QBER_SWEEP_CSV_COLUMNS = (
-    "sigma_rad_s",
-    "chi_sq_minus_1",
-    "overlap_mag",
-    "visibility",
-    "qber",
-)
-
 
 @dataclass(frozen=True)
 class LinkScenario:

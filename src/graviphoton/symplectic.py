@@ -61,14 +61,14 @@ class SymplecticMatrix:
     identities; the worst violation is stored as :attr:`residual`.
     """
 
-    def __init__(self, matrix, *, atol: float = STRUCTURE_TOL):
+    def __init__(self, matrix):
         arr, n = _as_square_even(matrix, "symplectic matrix")
         a, b = arr[:n, :n], arr[:n, n:]
         structure = max(
             np.max(np.abs(arr[n:, :n] - b.conj())),
             np.max(np.abs(arr[n:, n:] - a.conj())),
         )
-        if structure > atol:
+        if structure > STRUCTURE_TOL:
             raise DomainError(
                 f"matrix lacks the conjugate block structure (deviation {structure:.3e})"
             )
@@ -77,9 +77,9 @@ class SymplecticMatrix:
             np.max(np.abs(a @ a.conj().T - b @ b.conj().T - eye)),
             np.max(np.abs(a @ b.T - b @ a.T)),
         )
-        if residual > atol:
+        if residual > STRUCTURE_TOL:
             raise DomainError(
-                f"matrix is not symplectic to tolerance {atol:g} "
+                f"matrix is not symplectic to tolerance {STRUCTURE_TOL:g} "
                 f"(Bogoliubov residual {residual:.3e})"
             )
         arr = arr.copy()
@@ -116,7 +116,7 @@ class SymplecticMatrix:
 class GaussianState:
     """First and second moments of a Gaussian state of ``N`` modes."""
 
-    def __init__(self, first_moments, covariance, *, atol: float = PHYSICALITY_TOL):
+    def __init__(self, first_moments, covariance):
         sigma, n = _as_square_even(covariance, "covariance matrix")
         d = np.asarray(first_moments, dtype=complex).reshape(-1)
         if d.shape != (2 * n,):
@@ -136,7 +136,7 @@ class GaussianState:
             raise DomainError(f"covariance is not Hermitian (deviation {herm:.3e})")
         sigma = 0.5 * (sigma + sigma.conj().T)
         wmin = float(np.linalg.eigvalsh(sigma + _uncertainty_metric(n))[0])
-        if wmin < -atol:
+        if wmin < -PHYSICALITY_TOL:
             raise NonPhysicalState(
                 f"covariance violates the uncertainty bound "
                 f"(min eigenvalue of sigma + i Omega is {wmin:.3e})"

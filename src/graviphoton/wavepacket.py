@@ -216,20 +216,6 @@ def _check_samples(omega_rad_s, amplitude, phase_rad):
     return omega, amp
 
 
-def _quad_window(a, b):
-    """Integration window and reference frequency.
-
-    The window covers both supports.  Quadrature runs in the offset variable
-    ``u = omega - ref`` so node placement is not limited by the ULP of the
-    absolute optical frequency.
-    """
-    lo_a, hi_a = a.support()
-    lo_b, hi_b = b.support()
-    lo, hi = max(0.0, min(lo_a, lo_b)), max(hi_a, hi_b)
-    ref = 0.5 * (lo + hi)
-    return lo - ref, hi - ref, ref
-
-
 def _check_budget(nevals):
     if nevals > QUAD_EVAL_BUDGET:
         raise QuadratureError(
@@ -317,7 +303,8 @@ def overlap(a, b) -> complex:
     form too: between the nodes of both grids the product of their spline
     pieces is a degree six polynomial, integrated exactly by
     :func:`graviphoton.spline.overlap`, with no error estimate.  A Gaussian
-    and a tabulated profile are integrated panel by panel between the
+    and a tabulated profile are integrated over the intersection of their
+    supports (``0j`` where they are disjoint), panel by panel between the
     spline nodes with a nested four/seven point Gauss rule (11 evaluations
     per panel), whose difference is the error estimate checked against
     ``QUAD_ABS_TOL``.  The panel count is checked before any work on the
@@ -347,8 +334,16 @@ def overlap(a, b) -> complex:
         _check_budget(4 * (np.union1d(a._du, xb).size - 1))
         phase = cmath.exp(1j * (b.phase_rad - a.phase_rad))
         return phase * spline.overlap(a._du, a._c, xb, b._c)
-    lo, hi, ref = _quad_window(a, b)
-    edges = _panel_edges((a, b), ref, lo, hi)
+    # only the intersection of the supports counts: a tabulated amplitude is
+    # zero off its grid, a Gaussian below e^-72 of its peak off its support.
+    # Quadrature runs in the offset u = omega - ref, so node placement is not
+    # limited by the ULP of the absolute optical frequency.
+    lo = max(a.support()[0], b.support()[0])
+    hi = min(a.support()[1], b.support()[1])
+    if lo >= hi:
+        return 0j
+    ref = 0.5 * (lo + hi)
+    edges = _panel_edges((a, b), ref, lo - ref, hi - ref)
     val, err = _panel_integral(a, b, ref, edges)
     _check_quadrature(err)
     return val

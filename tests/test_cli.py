@@ -208,6 +208,16 @@ def test_validate_lists_every_violation(tmp_path, capsys):
     assert err == "task=redshift violations=2\n"
 
 
+def test_validate_writes_no_table(tmp_path, capsys):
+    # validate computes the table as run does, and drops it
+    table = tmp_path / "table.csv"
+    cfg = config_for("overlap")
+    cfg["output"] = {"format": "csv", "path": str(table)}
+    code, out, err = run_cli(capsys, ["validate", write_config(tmp_path, cfg)])
+    assert (code, out, err) == (0, "", "task=overlap violations=0\n")
+    assert not table.exists()
+
+
 def test_validate_structural_problem_exits_two(tmp_path, capsys):
     cfg = config_for("overlap")
     del cfg["photon"]
@@ -280,6 +290,25 @@ def test_numerical_failure_exits_four(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"] == "QuadratureError"
 
 
+def test_grid_overlap_is_divided_by_the_photon_norm(tmp_path, capsys):
+    # a grid 4e-10 off unit norm passes NORM_TOL; the overlap task divides
+    # by its norm squared, so it reads as the unscaled grid
+    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 401)
+    grid = profile_to_record(
+        SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
+    )
+    mags = []
+    for scale in (1.0, 1.0 + 4e-10):
+        cfg = config_for("overlap")
+        cfg["photon"] = {**grid, "re": [scale * v for v in grid["re"]]}
+        code, out, _ = run_cli(capsys, ["run", write_config(tmp_path, cfg)])
+        assert code == 0
+        mags.append(float(out.splitlines()[1].split(",")[4]))
+    # far enough below 1 that the clamp at 1 hides nothing
+    assert mags[0] < 0.999
+    assert abs(mags[1] - mags[0]) <= 1e-15
+
+
 def test_evaluation_budget_exits_four_before_evaluating(tmp_path, capsys, monkeypatch):
     w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 200)
     grid = SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
@@ -305,7 +334,7 @@ def test_evaluation_budget_exits_four_before_evaluating(tmp_path, capsys, monkey
     assert integrated == []
 
 
-def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
+def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys, monkeypatch):
     corpus = []
     corpus.append(("ok-redshift", config_for("redshift"), 0))
     corpus.append(("ok-qfi", config_for("qfi-sweep"), 0))
@@ -358,9 +387,18 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
     big_probes = config_for("qfi-sweep")
     big_probes["estimation"]["probe_count"] = too_big
     corpus.append(("oversized-int-probe-count", big_probes, 2))
+    # the norm of a 401-node photon needs 4 * 400 evaluations, its overlap
+    # with the redshifted copy, whose nodes interleave with its own, 4 * 801
+    monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 400)
+    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 401)
+    over_budget = config_for("overlap")
+    over_budget["photon"] = profile_to_record(
+        SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
+    )
+    corpus.append(("grid-overlap-over-budget", over_budget, 4))
     for name, cfg, expected in corpus:
         path = write_config(tmp_path, cfg, f"{name}.json")
-        val_code, val_out, _ = run_cli(capsys, ["validate", path])
+        val_code, val_out, val_err = run_cli(capsys, ["validate", path])
         run_code, _, run_err = run_cli(
             capsys, ["run", path, "--output", str(tmp_path / "out.csv")]
         )
@@ -371,6 +409,9 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
             assert json.loads(run_err)["error"] == first_class, name
         if expected == 2:
             assert json.loads(run_err)["error"] == "ConfigParseError", name
+        if expected == 4:
+            assert json.loads(val_err)["error"] == "QuadratureError", name
+            assert json.loads(run_err)["error"] == "QuadratureError", name
 
 
 def test_console_script_is_installed(tmp_path):

@@ -38,6 +38,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def test_only_the_cli_defines_table_columns():
+    # the CLI owns its table format: no library module names CSV columns
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id.endswith("_CSV_COLUMNS"):
+                if isinstance(node.ctx, ast.Store):
+                    found.add(path.stem)
+    assert found == {"cli"}
+
+
 # concurrent holds only concurrent.futures
 _BANNED = ("scipy", "multiprocessing", "concurrent")
 

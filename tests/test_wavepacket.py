@@ -284,23 +284,52 @@ def test_evaluation_budget_is_checked_before_evaluating(monkeypatch):
     assert len(closed) == 1
 
 
-@pytest.mark.parametrize("width", [0.02, 0.1, 0.6])
-def test_mixed_overlap_against_dense_reference(width):
-    # a refitted scipy spline times the Gaussian, with 20 Gauss points on
-    # every spline piece: independent of the package's panels and lookups
-    g = exact_grid(100, OPTICAL, 8.0, seed=11, phase=0.4)
-    lo, hi = g.support()
-    f = GaussianProfile(lo + 0.45 * (hi - lo), width * (hi - lo), -0.3)
+def dense_mixed_reference(f, g):
+    """``<f, g>`` of a Gaussian and a grid: a refitted scipy spline times the
+    Gaussian, with 20 Gauss points on every panel between the spline nodes
+    and a sigma/4 lattice over the Gaussian's +-12 sigma, independent of the
+    package's panels and lookups."""
     origin = g.omega_rad_s[0]
     s = CubicSpline(g.omega_rad_s - origin, g.amplitude)
+    lattice = (f.omega0_rad_s - origin) + f.sigma_rad_s * np.arange(-48, 49) / 4.0
+    edges = np.union1d(s.x, lattice[(lattice > s.x[0]) & (lattice < s.x[-1])])
     nodes, weights = np.polynomial.legendre.leggauss(20)
-    mid, half = 0.5 * (s.x[1:] + s.x[:-1]), 0.5 * np.diff(s.x)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     t = mid[:, None] + half[:, None] * nodes
     x = ((origin - f.omega0_rad_s) + t) / f.sigma_rad_s
     gauss = (math.pi * f.sigma_rad_s**2) ** -0.25 * np.exp(-0.5 * x * x)
-    ref = np.sum(gauss * s(t) * half[:, None] * weights) * cmath.exp(1j * (g.phase_rad - f.phase_rad))
+    phase = cmath.exp(1j * (g.phase_rad - f.phase_rad))
+    return np.sum(gauss * s(t) * half[:, None] * weights) * phase
+
+
+@pytest.mark.parametrize("width", [0.02, 0.1, 0.6])
+def test_mixed_overlap_against_dense_reference(width):
+    g = exact_grid(100, OPTICAL, 8.0, seed=11, phase=0.4)
+    lo, hi = g.support()
+    f = GaussianProfile(lo + 0.45 * (hi - lo), width * (hi - lo), -0.3)
+    ref = dense_mixed_reference(f, g)
     assert abs(overlap(f, g) - ref) < 1e-14
     assert abs(overlap(g, f) - ref.conjugate()) < 1e-14
+
+
+def test_mixed_overlap_runs_over_the_intersection_of_supports():
+    # a Gaussian 1e-4 of a 16 sigma grid's sigma wide needs a few dozen
+    # panels over its own support, not 320,000 over the grid's
+    g = exact_grid(401, OPTICAL, 8.0, seed=12, phase=0.4)
+    lo, hi = g.support()
+    f = GaussianProfile(lo + 0.45 * (hi - lo), (hi - lo) / 16e4, -0.3)
+    ref = dense_mixed_reference(f, g)
+    assert abs(ref) > 1e-3
+    assert abs(overlap(f, g) - ref) < 1e-14
+    assert abs(overlap(g, f) - ref.conjugate()) < 1e-14
+
+
+def test_mixed_overlap_of_disjoint_supports_is_zero():
+    # 1e5 sigma apart: no panel is integrated, however wide the gap
+    g = sampled_gaussian(W0, SIG, n=401)
+    f = GaussianProfile(W0 + 1e5 * SIG, SIG)
+    assert overlap(f, g) == 0j
+    assert overlap(g, f) == 0j
 
 
 def test_mixed_overlap_checks_its_error_estimate(monkeypatch):
