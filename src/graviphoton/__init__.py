@@ -36,7 +36,6 @@ from .errors import (
 )
 from .metrology import (
     EstimationReport,
-    FidelityInputs,
     SensingChannel,
     build_sensing_channel,
     cramer_rao_bound,
@@ -91,8 +90,6 @@ from .wavepacket import (
     l2_norm,
     mixing_angle,
     overlap,
-    profile_from_record,
-    profile_to_record,
     redshift_transform,
     sharp_commutator_scale,
 )

@@ -15,10 +15,15 @@ Config layout (keys carry their units as suffixes)::
       "emitter": {"type": "static", "radius_m": 6.371e6},
       "receiver": {"type": "orbit", "radius_m": 6.871e6},
       "photon": {"kind": "gaussian", "omega0_rad_s": ..., "sigma_rad_s": ...},
+                # or {"kind": "grid", "omega_rad_s": [...], "re": [...], "im": [...]}
       "sweep": {"sigma_rad_s": [...]},           # qber-sweep only
       "estimation": {"squeezing_r": 0.3, "theta_rad": [...], "probe_count": 1},
       "output": {"format": "csv", "path": "table.csv"}
     }
+
+This module is the only reader of the format: each block's keys and JSON
+types are checked here, photon included (``phase_rad`` is optional and 0 by
+default), before the library constructors apply their value rules.
 
 Exit codes: 0 success, 2 malformed config, 3 domain violation, 4 numerical
 failure.  Errors are written to stderr as a single JSON line.
@@ -54,9 +59,10 @@ from .spacetime import (
     redshift_between,
 )
 from .wavepacket import (
+    GaussianProfile,
+    SampledGridProfile,
     mixing_angle,
     overlap,
-    profile_from_record,
     redshift_transform,
 )
 
@@ -119,11 +125,16 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+# json.loads gives exactly int and float for numbers, and bool, a subclass of
+# int, for true and false: an exact type test rejects booleans as it goes
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _number(block, path, key):
     if key not in block:
         raise ConfigParseError(f"{path} is missing key {key!r}")
     val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if type(val) not in _NUMBER_TYPES:
         raise ConfigParseError(f"{path}.{key} must be a number")
     return float(val)
 
@@ -134,12 +145,10 @@ def _number_list(block, path, key):
     val = block[key]
     if not isinstance(val, list):
         raise ConfigParseError(f"{path}.{key} must be a list of numbers")
-    out = []
-    for i, x in enumerate(val):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigParseError(f"{path}.{key}[{i}] must be a number")
-        out.append(float(x))
-    return out
+    if not _NUMBER_TYPES.issuperset(map(type, val)):
+        i = next(i for i, x in enumerate(val) if type(x) not in _NUMBER_TYPES)
+        raise ConfigParseError(f"{path}.{key}[{i}] must be a number")
+    return list(map(float, val))
 
 
 def _check_keys(block, path, allowed):
@@ -191,9 +200,21 @@ def _build_observer(obs: dict, path: str) -> ObserverPath:
 
 
 def _build_photon(photon: dict, path: str):
-    if "kind" not in photon:
-        raise ConfigParseError(f"{path} is missing key 'kind'")
-    return profile_from_record(photon)
+    kind = photon.get("kind")
+    if kind == "gaussian":
+        _check_keys(photon, path, ("kind", "omega0_rad_s", "sigma_rad_s", "phase_rad"))
+    elif kind == "grid":
+        _check_keys(photon, path, ("kind", "omega_rad_s", "re", "im", "phase_rad"))
+    else:
+        raise ConfigParseError(f"{path}.kind must be 'gaussian' or 'grid', got {kind!r}")
+    phase = _number(photon, path, "phase_rad") if "phase_rad" in photon else 0.0
+    if kind == "gaussian":
+        omega0 = _number(photon, path, "omega0_rad_s")
+        return GaussianProfile(omega0, _number(photon, path, "sigma_rad_s"), phase)
+    omega, re, im = (_number_list(photon, path, key) for key in ("omega_rad_s", "re", "im"))
+    if not len(omega) == len(re) == len(im):
+        raise ConfigParseError(f"{path}.omega_rad_s, re and im must have equal lengths")
+    return SampledGridProfile(omega, list(map(complex, re, im)), phase)
 
 
 def _build_sweep(sweep: dict, path: str) -> list[float]:

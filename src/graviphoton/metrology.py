@@ -37,37 +37,6 @@ _BASE_STEP_SCALE = 1e-4
 MAX_SQUEEZING_R = 350.0
 
 
-class FidelityInputs:
-    """Pair of zero-mean covariance matrices prepared for comparison."""
-
-    def __init__(self, sigma_a, sigma_b):
-        a = GaussianState(np.zeros(np.shape(sigma_a)[0]), sigma_a)
-        b = GaussianState(np.zeros(np.shape(sigma_b)[0]), sigma_b)
-        self._take(a, b)
-
-    def _take(self, a: GaussianState, b: GaussianState):
-        if a.n_modes != b.n_modes:
-            raise DimensionMismatch(
-                f"covariances act on {a.n_modes} and {b.n_modes} modes"
-            )
-        self.sigma_a = a.covariance
-        self.sigma_b = b.covariance
-        self.n_modes = a.n_modes
-
-    @classmethod
-    def from_states(cls, a: GaussianState, b: GaussianState) -> "FidelityInputs":
-        for st in (a, b):
-            drift = float(np.max(np.abs(st.first_moments))) if st.first_moments.size else 0.0
-            if drift > 1e-12:
-                raise DomainError(
-                    f"fidelity requires vanishing first moments, found |d| up to {drift:.3e}"
-                )
-        # the states were validated when built, so their matrices are used as is
-        pair = cls.__new__(cls)
-        pair._take(a, b)
-        return pair
-
-
 def _single_mode_fidelity(sa: np.ndarray, sb: np.ndarray) -> float:
     """One-mode closed form in two determinants.
 
@@ -90,18 +59,27 @@ def _single_mode_fidelity(sa: np.ndarray, sb: np.ndarray) -> float:
     return 2.0 * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta
 
 
-def gaussian_fidelity(pair: FidelityInputs) -> float:
+def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     """Squared Uhlmann fidelity of two zero-mean Gaussian states.
 
     Supports one- and two-mode inputs, each through its own closed form in
-    a handful of determinants.  Larger registers are rejected.
+    a handful of determinants.  Larger registers are rejected.  The states
+    were validated when built, so their covariances are used as they are.
     """
-    if pair.n_modes > 2:
+    for st in (a, b):
+        drift = float(np.max(np.abs(st.first_moments)))
+        if drift > 1e-12:
+            raise DomainError(
+                f"fidelity requires vanishing first moments, found |d| up to {drift:.3e}"
+            )
+    if a.n_modes != b.n_modes:
+        raise DimensionMismatch(f"states act on {a.n_modes} and {b.n_modes} modes")
+    if a.n_modes > 2:
         raise DimensionMismatch(
-            f"closed-form fidelity covers at most 2 modes, got {pair.n_modes}"
+            f"closed-form fidelity covers at most 2 modes, got {a.n_modes}"
         )
-    sa, sb = pair.sigma_a, pair.sigma_b
-    if pair.n_modes == 1:
+    sa, sb = a.covariance, b.covariance
+    if a.n_modes == 1:
         return _finish_fidelity(_single_mode_fidelity(sa, sb))
     k = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)  # i * Omega
     eye = np.eye(4)
@@ -201,7 +179,7 @@ def qfi_finite_difference(channel, theta: float, *, probe_count: int = 1) -> Est
     def curvature(step):
         lo = channel(theta - step / 2.0)
         hi = channel(theta + step / 2.0)
-        fid = gaussian_fidelity(FidelityInputs.from_states(lo, hi))
+        fid = gaussian_fidelity(lo, hi)
         return 8.0 * (1.0 - math.sqrt(fid)) / step**2
 
     coarse = curvature(base_step)

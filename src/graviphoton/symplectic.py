@@ -58,7 +58,11 @@ class SymplecticMatrix:
     """Validated symplectic matrix in annihilation ordering.
 
     Construction checks the conjugate block structure and the Bogoliubov
-    identities; the worst violation is stored as :attr:`residual`.
+    identities; the worst violation is stored as :attr:`residual`, an
+    absolute value.  The identities are held to ``STRUCTURE_TOL`` times
+    ``max(1, |A|^2)``, the largest row norm squared of ``A``, because their
+    rounding grows with it: a squeezer of parameter ``r`` carries rounding
+    of order ``eps cosh^2 r``.
     """
 
     def __init__(self, matrix):
@@ -77,11 +81,16 @@ class SymplecticMatrix:
             np.max(np.abs(a @ a.conj().T - b @ b.conj().T - eye)),
             np.max(np.abs(a @ b.T - b @ a.T)),
         )
-        if residual > STRUCTURE_TOL:
-            raise DomainError(
-                f"matrix is not symplectic to tolerance {STRUCTURE_TOL:g} "
-                f"(Bogoliubov residual {residual:.3e})"
-            )
+        if not residual <= STRUCTURE_TOL:
+            # scaled only here, so gates that pass outright pay nothing for
+            # it; the row norms of A bound B's, and an A whose products
+            # overflow (residual nan, scale inf) is never accepted
+            tol = STRUCTURE_TOL * max(1.0, float(np.max(np.sum(np.abs(a) ** 2, axis=1))))
+            if not residual <= tol < math.inf:
+                raise DomainError(
+                    f"matrix is not symplectic to tolerance {tol:.3g} "
+                    f"(Bogoliubov residual {residual:.3e})"
+                )
         arr = arr.copy()
         arr.setflags(write=False)
         self._matrix = arr
@@ -137,10 +146,13 @@ class GaussianState:
         sigma = 0.5 * (sigma + sigma.conj().T)
         wmin = float(np.linalg.eigvalsh(sigma + _uncertainty_metric(n))[0])
         if wmin < -PHYSICALITY_TOL:
-            raise NonPhysicalState(
-                f"covariance violates the uncertainty bound "
-                f"(min eigenvalue of sigma + i Omega is {wmin:.3e})"
-            )
+            # eigenvalues are rounded relative to the largest variance
+            tol = PHYSICALITY_TOL * max(1.0, float(np.max(sigma.diagonal().real)))
+            if wmin < -tol:
+                raise NonPhysicalState(
+                    f"covariance violates the uncertainty bound to tolerance {tol:.3g} "
+                    f"(min eigenvalue of sigma + i Omega is {wmin:.3e})"
+                )
         sigma = sigma.copy()
         sigma.setflags(write=False)
         d = d.copy()
@@ -290,13 +302,11 @@ def gate_single_mode_squeezer(s: float) -> SymplecticMatrix:
 
 
 def gate_beamsplitter(theta: float) -> SymplecticMatrix:
-    """Two-mode beamsplitter with rotation blocks ``[[cos, sin], [-sin, cos]]``."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError("beamsplitter angle must be finite")
-    c, sn = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, sn], [-sn, c]], dtype=complex)
-    return passive_symplectic(rot)
+    """Two-mode beamsplitter with rotation blocks ``[[cos, sin], [-sin, cos]]``.
+
+    The mode mixer of :func:`mode_mixer_from_overlap` at ``phi = 0``.
+    """
+    return mode_mixer_from_overlap(theta)
 
 
 def gate_two_mode_squeezer(r: float) -> SymplecticMatrix:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import spline
 from ._lazy import NumpyOnFirstUse
-from .errors import ConfigParseError, DomainError, NormalizationError, QuadratureError
+from .errors import DomainError, NormalizationError, QuadratureError
 from .spacetime import RedshiftFactor
 
 np = NumpyOnFirstUse(globals())
@@ -400,67 +400,3 @@ def sharp_commutator_scale(alpha: complex) -> float:
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     return 1.0 / abs(alpha)
 
-
-def profile_to_record(profile) -> dict:
-    """Serializable record of a profile (JSON compatible plain dict)."""
-    if isinstance(profile, GaussianProfile):
-        rec = {
-            "kind": "gaussian",
-            "omega0_rad_s": profile.omega0_rad_s,
-            "sigma_rad_s": profile.sigma_rad_s,
-        }
-        if profile.phase_rad != 0.0:
-            rec["phase_rad"] = profile.phase_rad
-        return rec
-    if isinstance(profile, SampledGridProfile):
-        rec = {
-            "kind": "grid",
-            "omega_rad_s": [float(w) for w in profile.omega_rad_s],
-            "re": [float(v) for v in profile.amplitude.real],
-            "im": [float(v) for v in profile.amplitude.imag],
-        }
-        if profile.phase_rad != 0.0:
-            rec["phase_rad"] = profile.phase_rad
-        return rec
-    raise DomainError(f"unsupported profile type {type(profile).__name__!r}")
-
-
-def profile_from_record(record) -> object:
-    """Rebuild a profile from :func:`profile_to_record` output.
-
-    Raises :class:`ConfigParseError` for structurally invalid records; value
-    level problems (negative widths and the like) surface as
-    :class:`DomainError` from the profile constructors.
-    """
-    if not isinstance(record, dict):
-        raise ConfigParseError(f"profile record must be an object, got {type(record).__name__}")
-    kind = record.get("kind")
-    if kind == "gaussian":
-        allowed = {"kind", "omega0_rad_s", "sigma_rad_s", "phase_rad"}
-        unknown = set(record) - allowed
-        if unknown:
-            raise ConfigParseError(f"unknown keys in gaussian profile record: {sorted(unknown)}")
-        try:
-            w0 = float(record["omega0_rad_s"])
-            sg = float(record["sigma_rad_s"])
-            ph = float(record.get("phase_rad", 0.0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigParseError(f"invalid gaussian profile record: {exc}") from exc
-        return GaussianProfile(w0, sg, ph)
-    if kind == "grid":
-        allowed = {"kind", "omega_rad_s", "re", "im", "phase_rad"}
-        unknown = set(record) - allowed
-        if unknown:
-            raise ConfigParseError(f"unknown keys in grid profile record: {sorted(unknown)}")
-        try:
-            omega = [float(v) for v in record["omega_rad_s"]]
-            re = [float(v) for v in record["re"]]
-            im = [float(v) for v in record["im"]]
-            ph = float(record.get("phase_rad", 0.0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigParseError(f"invalid grid profile record: {exc}") from exc
-        if not (len(omega) == len(re) == len(im)):
-            raise ConfigParseError("grid profile arrays must have equal length")
-        amp = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        return SampledGridProfile(omega, amp, ph)
-    raise ConfigParseError(f"unknown profile kind {kind!r}")

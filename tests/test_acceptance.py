@@ -17,7 +17,6 @@ from scipy.linalg import expm
 import fock_oracle as fo
 import highprec as hp
 from graviphoton import (
-    FidelityInputs,
     GaussianProfile,
     LinkScenario,
     ObserverPath,
@@ -308,7 +307,7 @@ def test_criterion_07_fidelity_and_qfi_match_number_basis():
     # rank-deficiency rounding noise on projectors to ~1e-7, so pure states
     # (stored as vectors) use the exact pure-state reductions instead
     for state_a, state_b, fa, fb in pairs:
-        got = gaussian_fidelity(FidelityInputs.from_states(state_a, state_b))
+        got = gaussian_fidelity(state_a, state_b)
         if fa.ndim == 1 and fb.ndim == 1:
             want = abs(np.vdot(fa, fb)) ** 2
         elif fa.ndim == 1:
@@ -390,11 +389,13 @@ def _cli_corpus(tmp_path):
 
     u = np.linspace(-8.0, 8.0, 801)
     amp = (math.pi * SIG**2) ** -0.25 * np.exp(-(u**2) / 2.0)
-    from graviphoton import profile_to_record
-
-    grid_record = profile_to_record(
-        SampledGridProfile.from_samples(W0 + SIG * u, amp)
-    )
+    grid = SampledGridProfile.from_samples(W0 + SIG * u, amp)
+    grid_record = {
+        "kind": "grid",
+        "omega_rad_s": grid.omega_rad_s.tolist(),
+        "re": grid.amplitude.real.tolist(),
+        "im": grid.amplitude.imag.tolist(),
+    }
 
     corpus = []
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import graviphoton
 from graviphoton import (
@@ -19,7 +21,6 @@ from graviphoton import (
     SampledGridProfile,
     SchwarzschildGeometry,
     cli,
-    profile_to_record,
     qber_bandwidth_sweep,
     redshift_static_static,
     wavepacket,
@@ -41,6 +42,16 @@ def base_link(task):
 
 def photon_block():
     return {"kind": "gaussian", "omega0_rad_s": W0, "sigma_rad_s": SIG, "phase_rad": 0.0}
+
+
+def grid_block(profile):
+    amp = profile.amplitude
+    return {
+        "kind": "grid",
+        "omega_rad_s": profile.omega_rad_s.tolist(),
+        "re": amp.real.tolist(),
+        "im": amp.imag.tolist(),
+    }
 
 
 def config_for(task):
@@ -171,6 +182,72 @@ def test_boolean_is_not_a_number(tmp_path, capsys):
     assert "probe_count" in json.loads(err)["message"]
 
 
+def sampled_grid(n):
+    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, n)
+    return SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
+
+
+def test_photon_block_builds_the_profile_it_describes():
+    found = []
+    built = cli.build_blocks({"photon": {**photon_block(), "phase_rad": 0.25}}, found)
+    assert built["photon"] == GaussianProfile(W0, SIG, 0.25)
+    grid = sampled_grid(64)
+    built = cli.build_blocks({"photon": {**grid_block(grid), "phase_rad": 0.5}}, found)
+    assert np.array_equal(built["photon"].omega_rad_s, grid.omega_rad_s)
+    assert np.array_equal(built["photon"].amplitude, grid.amplitude)
+    assert built["photon"].phase_rad == 0.5
+    assert found == []
+
+
+def test_photon_block_errors_exit_two(tmp_path, capsys):
+    # the photon block is read like every other block: a wrong JSON type, a
+    # missing or unknown key or an unknown kind is a structural error
+    gauss, grid = photon_block(), grid_block(sampled_grid(64))
+    number = "must be a number"
+    cases = [
+        ("omega0-string", {**gauss, "omega0_rad_s": "4e15"}, f"photon.omega0_rad_s {number}"),
+        ("sigma-true", {**gauss, "sigma_rad_s": True}, f"photon.sigma_rad_s {number}"),
+        ("phase-true", {**gauss, "phase_rad": True}, f"photon.phase_rad {number}"),
+        ("omega0-null", {**gauss, "omega0_rad_s": None}, f"photon.omega0_rad_s {number}"),
+        ("grid-phase-string", {**grid, "phase_rad": "0"}, f"photon.phase_rad {number}"),
+        ("grid-string-element", {**grid, "re": ["0", *grid["re"][1:]]}, f"photon.re[0] {number}"),
+        (
+            "grid-false-element",
+            {**grid, "omega_rad_s": [*grid["omega_rad_s"][:-1], False]},
+            f"photon.omega_rad_s[63] {number}",
+        ),
+        ("grid-scalar-re", {**grid, "re": 1.0}, "photon.re must be a list of numbers"),
+        ("grid-unequal-lengths", {**grid, "im": grid["im"][:-1]}, "must have equal lengths"),
+        ("grid-oversized-int", {**grid, "re": [10**400, *grid["re"][1:]]}, "too large for a float"),
+        ("missing-key", {"kind": "gaussian", "omega0_rad_s": W0}, "photon is missing key 'sigma_rad_s'"),
+        ("grid-missing-key", {k: v for k, v in grid.items() if k != "im"}, "photon is missing key 'im'"),
+        ("unknown-key", {**gauss, "mean": 1.0}, "unknown key 'mean' in photon"),
+        ("grid-key-on-gaussian", {**gauss, "re": [1.0]}, "unknown key 're' in photon"),
+        ("unknown-kind", {**gauss, "kind": "lorentzian"}, "photon.kind must be 'gaussian' or 'grid'"),
+        ("missing-kind", {"omega0_rad_s": W0, "sigma_rad_s": SIG}, "photon.kind must be"),
+        ("list-kind", {**gauss, "kind": ["gaussian"]}, "photon.kind must be"),
+        ("not-an-object", ["not", "a", "record"], "block 'photon' must be a JSON object"),
+    ]
+    for name, photon, message in cases:
+        cfg = config_for("overlap")
+        cfg["photon"] = photon
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        for command in ("validate", "run"):
+            code, out, err = run_cli(capsys, [command, path])
+            assert (code, out) == (2, ""), (name, command)
+            envelope = json.loads(err)
+            assert envelope["error"] == "ConfigParseError", (name, command)
+            assert message in envelope["message"], (name, command)
+    # a well-typed value outside the profile's domain is a domain error
+    cfg = config_for("overlap")
+    cfg["photon"]["sigma_rad_s"] = -1.0
+    path = write_config(tmp_path, cfg, "negative-sigma.json")
+    code, out, _ = run_cli(capsys, ["validate", path])
+    assert code == 3 and out.startswith("photon: DomainError: sigma_rad_s")
+    code, _, err = run_cli(capsys, ["run", path])
+    assert code == 3 and json.loads(err)["error"] == "DomainError"
+
+
 def test_domain_failure_exits_three(tmp_path, capsys):
     cfg = {
         "task": "redshift",
@@ -294,7 +371,7 @@ def test_grid_overlap_is_divided_by_the_photon_norm(tmp_path, capsys):
     # a grid 4e-10 off unit norm passes NORM_TOL; the overlap task divides
     # by its norm squared, so it reads as the unscaled grid
     w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 401)
-    grid = profile_to_record(
+    grid = grid_block(
         SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
     )
     mags = []
@@ -313,7 +390,7 @@ def test_evaluation_budget_exits_four_before_evaluating(tmp_path, capsys, monkey
     w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 200)
     grid = SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
     cfg = config_for("overlap")
-    cfg["photon"] = profile_to_record(grid)
+    cfg["photon"] = grid_block(grid)
     path = write_config(tmp_path, cfg)
     # the norm of the 200-node photon needs 4 * 199 evaluations
     monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 199 - 1)
@@ -373,7 +450,7 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys, monkeypatch):
     w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 200)
     grid = SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
     unnormalized = config_for("overlap")
-    unnormalized["photon"] = profile_to_record(grid)
+    unnormalized["photon"] = grid_block(grid)
     unnormalized["photon"]["re"] = [1e4 * v for v in unnormalized["photon"]["re"]]
     corpus.append(("unnormalized-grid", unnormalized, 3))
     # integer literals whose float() overflows are refused while parsing
@@ -392,7 +469,7 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 400)
     w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 401)
     over_budget = config_for("overlap")
-    over_budget["photon"] = profile_to_record(
+    over_budget["photon"] = grid_block(
         SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
     )
     corpus.append(("grid-overlap-over-budget", over_budget, 4))
@@ -412,6 +489,109 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys, monkeypatch):
         if expected == 4:
             assert json.loads(val_err)["error"] == "QuadratureError", name
             assert json.loads(run_err)["error"] == "QuadratureError", name
+
+
+# JSON values of the wrong type for a number or a list of numbers
+WRONG_JSON = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.floats(0.5, 2.0).map(repr),
+    st.lists(st.floats(0.0, 1.0), max_size=2),
+    st.just({}),
+)
+
+
+def sometimes_wrong(values):
+    """The values drawn, or one time in ten a JSON value of another type."""
+    return st.integers(0, 9).flatmap(lambda k: values if k else WRONG_JSON)
+
+
+@st.composite
+def gaussian_photons(draw):
+    # carrier to width ratios around the MIN_CARRIER_TO_WIDTH rule of 8
+    sigma = draw(st.floats(1.0, 1e12))
+    omega0 = sigma * draw(st.one_of(st.floats(7.99, 8.01), st.floats(8.0, 1e4)))
+    if draw(st.booleans()):
+        omega0 = round(omega0)  # a JSON integer
+    block = {
+        "kind": "gaussian",
+        "omega0_rad_s": draw(sometimes_wrong(st.just(omega0))),
+        "sigma_rad_s": draw(sometimes_wrong(st.just(sigma))),
+    }
+    if draw(st.booleans()):
+        block["phase_rad"] = draw(sometimes_wrong(st.floats(-10.0, 10.0)))
+    return block, sigma
+
+
+@st.composite
+def grid_photons(draw):
+    # unit-norm grids scaled to norm errors on both sides of NORM_TOL
+    grid = grid_block(sampled_grid(draw(st.integers(4, 40))))
+    error = draw(st.one_of(st.just(0.0), st.floats(0.5, 1.5), st.floats(-1.5, -0.5)))
+    scale = 1.0 + error * wavepacket.NORM_TOL
+    for key in ("re", "im"):
+        grid[key] = [scale * v for v in grid[key]]
+    key = draw(st.sampled_from(("omega_rad_s", "re", "im")))
+    change = draw(st.sampled_from((None,) * 6 + ("element", "list", "shorter", "swap", "few")))
+    if change == "element":
+        grid[key][draw(st.integers(0, len(grid[key]) - 1))] = draw(WRONG_JSON)
+    elif change == "list":
+        grid[key] = draw(st.one_of(WRONG_JSON, st.floats(0.0, 1.0)))
+    elif change == "shorter":
+        grid[key] = grid[key][:-1]
+    elif change == "swap":
+        grid[key][:2] = grid[key][1::-1]
+    elif change == "few":
+        grid = {k: v[:3] if isinstance(v, list) else v for k, v in grid.items()}
+    if draw(st.booleans()):
+        grid["phase_rad"] = draw(sometimes_wrong(st.floats(-10.0, 10.0)))
+    return grid, SIG
+
+
+@st.composite
+def photon_configs(draw):
+    photon, sigma = draw(st.one_of(gaussian_photons(), grid_photons()))
+    change = draw(st.sampled_from((None,) * 9 + ("drop", "extra", "kind")))
+    if change == "drop":
+        del photon[draw(st.sampled_from(sorted(photon)))]
+    elif change == "extra":
+        photon["mean"] = 1.0
+    elif change == "kind":
+        photon["kind"] = draw(st.sampled_from(("gaussian", "grid", "lorentzian", None, 1, [])))
+    cfg = config_for(draw(st.sampled_from(("overlap", "qber-sweep"))))
+    cfg["photon"] = photon
+    if "sweep" in cfg:
+        cfg["sweep"]["sigma_rad_s"] = [sigma, 1.01 * sigma]
+    return cfg
+
+
+def first_error(code, out, err):
+    """Class of the first error a command reports, or None on success."""
+    if code == 0:
+        return None
+    if code == 3 and out:
+        return out.splitlines()[0].split(": ")[1]  # validate lists domain errors
+    return json.loads(err.splitlines()[-1])["error"]
+
+
+@given(cfg=photon_configs())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_validate_and_run_agree_on_photon_blocks(cfg, tmp_path, capsys):
+    path = write_config(tmp_path, cfg)
+    val = run_cli(capsys, ["validate", path])
+    code, out, err = run_cli(capsys, ["run", path, "--format", "json"])
+    if val[0] == 0:
+        assert code == 0
+        cells = [cell for row in json.loads(out)["rows"] for cell in row]
+        assert all(cell is not None and math.isfinite(cell) for cell in cells)
+    else:
+        assert code == val[0]
+        assert first_error(code, "", err) == first_error(*val)
 
 
 def test_console_script_is_installed(tmp_path):

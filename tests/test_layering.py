@@ -50,6 +50,26 @@ def test_only_the_cli_defines_table_columns():
     assert found == {"cli"}
 
 
+def test_only_the_cli_names_config_parse_errors():
+    # the CLI owns its config format: errors.py defines ConfigParseError and
+    # the package's __init__ re-exports it, but no library module reads a
+    # config, so none raises, catches or imports it
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            named = (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                node.name if isinstance(node, (ast.ClassDef, ast.alias)) else None,
+            )
+            if "ConfigParseError" in named:
+                found.add(path.stem)
+    assert found == {"cli", "errors"}
+
+
 # concurrent holds only concurrent.futures
 _BANNED = ("scipy", "multiprocessing", "concurrent")
 
@@ -160,7 +180,7 @@ REBIND_PROBE = (
     "from graviphoton import metrology, spline, symplectic, wavepacket\n"
     "modules = (metrology, spline, symplectic, wavepacket)\n"
     "before = [m.np is numpy for m in modules]\n"
-    "metrology.FidelityInputs([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])\n"
+    "metrology.gaussian_fidelity(symplectic.state_vacuum(1), symplectic.state_vacuum(1))\n"
     "spline.not_a_knot([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0])\n"
     "symplectic.symplectic_form(1)\n"
     "wavepacket.GaussianProfile(10.0, 1.0)(10.0)\n"

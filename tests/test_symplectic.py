@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graviphoton import (
@@ -11,8 +11,10 @@ from graviphoton import (
     GaussianState,
     NonPhysicalState,
     NumericalError,
+    SensingChannel,
     SymplecticMatrix,
     apply_symplectic,
+    build_sensing_channel,
     embed_symplectic,
     gate_beamsplitter,
     gate_single_mode_squeezer,
@@ -31,6 +33,8 @@ from graviphoton import (
     williamson_eigenvalues,
 )
 from graviphoton.constants import HBAR, K_BOLTZMANN
+from graviphoton.metrology import MAX_SQUEEZING_R
+from graviphoton.symplectic import STRUCTURE_TOL
 
 
 def symplectic_residual(gate):
@@ -265,6 +269,34 @@ def test_tritter_unitarity_and_limits():
 def test_gate_residual_property(param):
     for ctor in (gate_single_mode_squeezer, gate_beamsplitter, gate_two_mode_squeezer):
         assert ctor(param).residual < 1e-12
+
+
+@given(r=st.floats(-20.0, 20.0))
+@example(r=MAX_SQUEEZING_R)
+@example(r=-MAX_SQUEEZING_R)
+@settings(max_examples=60, deadline=None)
+def test_strong_squeezing_passes_the_checks(r):
+    # the rounding of A A^+ - B B^+ grows like eps cosh^2 r; the checks scale
+    # with it, so exact gates and states pass at every r the sensing channel
+    # accepts
+    for ctor in (gate_single_mode_squeezer, gate_two_mode_squeezer):
+        assert ctor(r).residual <= STRUCTURE_TOL * math.cosh(r) ** 2
+    vacuum = apply_symplectic(state_vacuum(1), gate_single_mode_squeezer(r))
+    assert vacuum.covariance[0, 0].real == pytest.approx(math.cosh(2.0 * r), rel=1e-12)
+    _, tap = build_sensing_channel(SensingChannel(r))
+    for theta in (0.0, 0.3, 1.2):
+        want = 2.0 * math.sinh(r) ** 2 * math.cos(theta) ** 2
+        assert mean_photon_number(tap(theta)) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_scaled_tolerance_still_rejects_a_perturbed_squeezer():
+    # A scaled by 1 + 1e-9 at r = 10 leaves a residual of about 2e-9 cosh^2 r,
+    # far above the rounding the scaled tolerance allows for
+    m = gate_single_mode_squeezer(10.0).matrix.copy()
+    m[0, 0] *= 1.0 + 1e-9
+    m[1, 1] *= 1.0 + 1e-9
+    with pytest.raises(DomainError, match="not symplectic"):
+        SymplecticMatrix(m)
 
 
 @given(r=st.floats(0.0, 1.2), nbar=st.floats(0.0, 3.0))

@@ -9,7 +9,6 @@ from scipy.interpolate import CubicSpline
 
 import highprec as hp
 from graviphoton import (
-    ConfigParseError,
     DomainError,
     GaussianProfile,
     NormalizationError,
@@ -19,8 +18,6 @@ from graviphoton import (
     l2_norm,
     mixing_angle,
     overlap,
-    profile_from_record,
-    profile_to_record,
     redshift_transform,
     sharp_commutator_scale,
     wavepacket,
@@ -412,41 +409,6 @@ def test_sharp_commutator_scale():
         assert sharp_commutator_scale(alpha) == 1.0 / abs(alpha)
     with pytest.raises(DomainError, match="nonzero"):
         sharp_commutator_scale(0.0)
-
-
-def test_gaussian_record_roundtrip():
-    f = GaussianProfile(W0, SIG, 0.25)
-    rec = profile_to_record(f)
-    back = profile_from_record(rec)
-    assert back.omega0_rad_s == f.omega0_rad_s
-    assert back.sigma_rad_s == f.sigma_rad_s
-    assert back.phase_rad == f.phase_rad
-
-
-def test_grid_record_roundtrip():
-    g = sampled_gaussian(W0, SIG, n=64)
-    back = profile_from_record(profile_to_record(g))
-    assert np.array_equal(back.omega_rad_s, g.omega_rad_s)
-    assert np.array_equal(back.amplitude, g.amplitude)
-
-
-def test_record_parsing_errors():
-    with pytest.raises(ConfigParseError, match="unknown profile kind"):
-        profile_from_record({"kind": "lorentzian"})
-    with pytest.raises(ConfigParseError, match="unknown keys"):
-        profile_from_record(
-            {"kind": "gaussian", "omega0_rad_s": W0, "sigma_rad_s": SIG, "mean": 1}
-        )
-    with pytest.raises(ConfigParseError):
-        profile_from_record(["not", "a", "record"])
-    with pytest.raises(DomainError):
-        profile_from_record({"kind": "gaussian", "omega0_rad_s": W0, "sigma_rad_s": -1.0})
-    with pytest.raises(ConfigParseError, match="invalid gaussian profile record"):
-        profile_from_record({"kind": "gaussian", "omega0_rad_s": 10**400, "sigma_rad_s": SIG})
-    with pytest.raises(ConfigParseError, match="invalid grid profile record"):
-        profile_from_record(
-            {"kind": "grid", "omega_rad_s": [W0, 10**400], "re": [1.0, 0.0], "im": [0.0, 0.0]}
-        )
 
 
 @given(chi=st.one_of(st.floats(0.999999, 1.000001), st.floats(0.5, 2.0)))
