@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from graviphoton import (
     QuadratureError,
     RedshiftFactor,
     SampledGridProfile,
+    cli,
     l2_norm,
     mixing_angle,
     overlap,
@@ -409,6 +411,35 @@ def test_sharp_commutator_scale():
         assert sharp_commutator_scale(alpha) == 1.0 / abs(alpha)
     with pytest.raises(DomainError, match="nonzero"):
         sharp_commutator_scale(0.0)
+
+
+def photon_roundtrip(block):
+    """Send a photon block through JSON text and build it as the CLI does."""
+    found = []
+    built = cli.build_blocks({"photon": json.loads(json.dumps(block))}, found)
+    assert found == []
+    return built["photon"]
+
+
+def test_gaussian_record_roundtrip():
+    f = GaussianProfile(W0, SIG, 0.25)
+    back = photon_roundtrip(
+        {"kind": "gaussian", "omega0_rad_s": f.omega0_rad_s,
+         "sigma_rad_s": f.sigma_rad_s, "phase_rad": f.phase_rad}
+    )
+    assert back.omega0_rad_s == f.omega0_rad_s
+    assert back.sigma_rad_s == f.sigma_rad_s
+    assert back.phase_rad == f.phase_rad
+
+
+def test_grid_record_roundtrip():
+    g = sampled_gaussian(W0, SIG, n=64)
+    back = photon_roundtrip(
+        {"kind": "grid", "omega_rad_s": g.omega_rad_s.tolist(),
+         "re": g.amplitude.real.tolist(), "im": g.amplitude.imag.tolist()}
+    )
+    assert np.array_equal(back.omega_rad_s, g.omega_rad_s)
+    assert np.array_equal(back.amplitude, g.amplitude)
 
 
 @given(chi=st.one_of(st.floats(0.999999, 1.000001), st.floats(0.5, 2.0)))
