@@ -31,6 +31,8 @@ np = NumpyOnFirstUse(globals())
 STRUCTURE_TOL = 1e-12
 PHYSICALITY_TOL = 1e-10
 _PAIRING_TOL = 1e-8
+# squeezers beyond |r| = 355.58 overflow cosh(r)^2, the scale of their check
+_MAX_SQUEEZING = 355.5
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -143,7 +145,9 @@ class GaussianState:
         herm = np.max(np.abs(sigma - sigma.conj().T))
         if herm > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
             raise DomainError(f"covariance is not Hermitian (deviation {herm:.3e})")
-        sigma = 0.5 * (sigma + sigma.conj().T)
+        # halved first, so entries near the float limit do not overflow the sum
+        sigma = 0.5 * sigma
+        sigma = sigma + sigma.conj().T
         wmin = float(np.linalg.eigvalsh(sigma + _uncertainty_metric(n))[0])
         if wmin < -PHYSICALITY_TOL:
             # eigenvalues are rounded relative to the largest variance
@@ -295,8 +299,10 @@ def williamson_eigenvalues(state_or_covariance) -> np.ndarray:
 def gate_single_mode_squeezer(s: float) -> SymplecticMatrix:
     """Single-mode squeezer ``[[cosh s, sinh s], [sinh s, cosh s]]``."""
     s = float(s)
-    if not math.isfinite(s):
-        raise DomainError("squeezing parameter must be finite")
+    if not abs(s) <= _MAX_SQUEEZING:
+        raise DomainError(
+            f"squeezing parameter must be finite with |r| <= {_MAX_SQUEEZING:g}, got {s!r}"
+        )
     c, sh = math.cosh(s), math.sinh(s)
     return SymplecticMatrix(np.array([[c, sh], [sh, c]], dtype=complex))
 
@@ -312,8 +318,10 @@ def gate_beamsplitter(theta: float) -> SymplecticMatrix:
 def gate_two_mode_squeezer(r: float) -> SymplecticMatrix:
     """Two-mode squeezer coupling the pair through ``sinh r`` on the cross block."""
     r = float(r)
-    if not math.isfinite(r):
-        raise DomainError("squeezing parameter must be finite")
+    if not abs(r) <= _MAX_SQUEEZING:
+        raise DomainError(
+            f"squeezing parameter must be finite with |r| <= {_MAX_SQUEEZING:g}, got {r!r}"
+        )
     c, sh = math.cosh(r), math.sinh(r)
     m = np.array(
         [

@@ -47,12 +47,18 @@ def test_evaluate_at_nodes_ends_outside_and_nan():
     assert spline.evaluate(x, c, np.nan) == 0.0
 
 
-@pytest.mark.parametrize("shift", [0.0, 7.3, -11.9])
-def test_overlap_matches_sixty_digit_integral(shift):
+# the last pair spans more than one block of panels, its union grid and the
+# norm of its first spline alike
+@pytest.mark.parametrize(
+    "shift, na, nb",
+    [(0.0, 30, 25), (7.3, 30, 25), (-11.9, 30, 25), (500.0, 2050, 1100)],
+    ids=["0.0", "7.3", "-11.9", "two-blocks"],
+)
+def test_overlap_matches_sixty_digit_integral(shift, na, nb):
     rng = np.random.default_rng(2)
-    xa, xb = random_nodes(rng, 30), random_nodes(rng, 25) + shift
-    ca = spline.not_a_knot(xa, random_values(rng, 30))
-    cb = spline.not_a_knot(xb, random_values(rng, 25))
+    xa, xb = random_nodes(rng, na), random_nodes(rng, nb) + shift
+    ca = spline.not_a_knot(xa, random_values(rng, na))
+    cb = spline.not_a_knot(xb, random_values(rng, nb))
     norm_a = complex(hp.piecewise_cubic_overlap(xa, ca, xa, ca)).real
     norm_b = complex(hp.piecewise_cubic_overlap(xb, cb, xb, cb)).real
     want = complex(hp.piecewise_cubic_overlap(xa, ca, xb, cb))

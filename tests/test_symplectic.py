@@ -308,3 +308,25 @@ def test_thermal_squeezed_williamson_property(r, nbar):
     )
     nus = williamson_eigenvalues(st_)
     assert np.allclose(nus, 2.0 * nbar + 1.0, rtol=1e-9, atol=1e-9)
+
+
+# from r = 355.3 the state's covariance overflows to inf, and is refused
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_squeezing_near_the_float_limit_builds_or_is_refused():
+    # covariance entries cosh 2r pass 9e307 from r = 354.9; they must neither
+    # overflow the Hermitian part nor reach an eigensolver as inf
+    for r in np.round(np.arange(353.0, 356.05, 0.1), 1):
+        for gate, modes in ((gate_single_mode_squeezer, 1), (gate_two_mode_squeezer, 2)):
+            try:
+                state = apply_symplectic(state_vacuum(modes), gate(r))
+            except DomainError:
+                continue
+            assert np.all(np.isfinite(state.covariance))
+    assert apply_symplectic(state_vacuum(2), gate_two_mode_squeezer(355.2)).n_modes == 2
+
+
+@pytest.mark.parametrize("r", [355.6, 500.0, 710.6, 720.0, -720.0, 1e300])
+def test_squeezers_beyond_the_limit_raise_domain_error(r):
+    for gate in (gate_single_mode_squeezer, gate_two_mode_squeezer):
+        with pytest.raises(DomainError, match=r"\|r\| <= 355\.5"):
+            gate(r)

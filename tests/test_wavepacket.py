@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,24 @@ def test_grid_overlap_against_exact_spline_integral(n, case):
         a = exact_grid(n, 0.0, 2.0**-20, seed=n)
         b = redshift_transform(a, math.sqrt(1.02 if case == "redshifted" else 1.0 + 1e-9))
     assert abs(overlap(a, b) - reference_overlap(a, b)) < 1e-15
+
+
+def test_grid_overlaps_allocate_blocks_not_grids():
+    # two 100k-node grids interleave to about 2e5 panels, where a (4, panels)
+    # complex array alone would take 12 MiB; bytes are counted, not time
+    a = sampled_gaussian(W0, SIG, n=100_001)
+    b = redshift_transform(a, 1.0 + 1e-10)  # shifted by 0.86 sigma
+    assert abs(overlap(a, b)) > 0.5  # first calls fill the caches
+    l2_norm(a)
+    for call, limit_mib in ((lambda: overlap(a, b), 8), (lambda: l2_norm(a), 1)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= limit_mib * 2**20
 
 
 def test_grid_overlap_evaluation_counts(monkeypatch):
