@@ -13,7 +13,9 @@ takes it from the decay of the fidelity under a small parameter step,
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from ._lazy import NumpyOnFirstUse
@@ -35,6 +37,15 @@ _PURITY_TOL = 1e-10
 _BASE_STEP_SCALE = 1e-4
 # the endpoint value 8 sinh^2 r of sensing_qfi overflows from |r| = 354.5
 MAX_SQUEEZING_R = 350.0
+
+
+@functools.cache
+def _two_mode_metric():
+    """``K = i Omega`` on two modes and the 4 x 4 identity, built once and read-only."""
+    k, eye = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex), np.eye(4)
+    k.setflags(write=False)
+    eye.setflags(write=False)
+    return k, eye
 
 
 def _single_mode_fidelity(sa: np.ndarray, sb: np.ndarray) -> float:
@@ -67,7 +78,7 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     were validated when built, so their covariances are used as they are.
     """
     for st in (a, b):
-        drift = float(np.max(np.abs(st.first_moments)))
+        drift = float(abs(st.first_moments).max())
         if drift > 1e-12:
             raise DomainError(
                 f"fidelity requires vanishing first moments, found |d| up to {drift:.3e}"
@@ -81,8 +92,7 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     sa, sb = a.covariance, b.covariance
     if a.n_modes == 1:
         return _finish_fidelity(_single_mode_fidelity(sa, sb))
-    k = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)  # i * Omega
-    eye = np.eye(4)
+    k, eye = _two_mode_metric()
     gamma_c = np.linalg.det(eye + k @ sa @ k @ sb)
     lam_c = np.linalg.det(eye + k @ sa) * np.linalg.det(eye + k @ sb)
     # det(K) = 1 on four modes, so the symplectic-form prefactor drops out.
@@ -147,10 +157,17 @@ class EstimationReport:
 
 def check_probe_count(probe_count: int) -> int:
     """``probe_count`` as an int, if at least one probe is sent."""
-    probe_count = int(probe_count)
-    if probe_count < 1:
-        raise DomainError(f"probe_count must be >= 1, got {probe_count}")
-    return probe_count
+    count = None
+    if not isinstance(probe_count, bool):
+        try:
+            count = operator.index(probe_count)
+        except TypeError:
+            pass
+    if count is None:
+        raise DomainError(f"probe_count must be an integer, got {probe_count!r}")
+    if count < 1:
+        raise DomainError(f"probe_count must be >= 1, got {count}")
+    return count
 
 
 def cramer_rao_bound(qfi: float, probe_count: int = 1) -> float:

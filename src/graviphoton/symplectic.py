@@ -11,20 +11,20 @@ covariance matrix ``sigma_nm = <X_n X_m^+ + X_m^+ X_n> - 2 <X_n><X_m^+>``,
 normalized so the vacuum has ``sigma = 1``.  Evolution acts as
 ``d -> S d`` and ``sigma -> S sigma S^+``.
 
-Everything here is closed-form numpy.
+Everything here is closed-form numpy.  ``SymplecticMatrix`` checks the block form and both
+identities in one reduction each; ``GaussianState`` checks conjugate moments, Hermiticity and
+``sigma + i Omega >= 0`` (one eigenvalue solve).
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+import operator
 
 from ._lazy import NumpyOnFirstUse
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NonPhysicalState,
-    NumericalError,
-)
+from .errors import DimensionMismatch, DomainError, NonPhysicalState, NumericalError
 
 np = NumpyOnFirstUse(globals())
 
@@ -40,9 +40,28 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.diag([-1j] * n_modes + [1j] * n_modes)
 
 
+@functools.cache
 def _uncertainty_metric(n_modes: int) -> np.ndarray:
-    # i * Omega, the Hermitian metric entering the physicality bound
-    return np.diag([1.0] * n_modes + [-1.0] * n_modes).astype(complex)
+    # i * Omega, the Hermitian metric entering the physicality bound; cached, so read-only
+    metric = np.diag([1.0] * n_modes + [-1.0] * n_modes).astype(complex)
+    metric.setflags(write=False)
+    return metric
+
+
+def _conjugate_row(top: np.ndarray) -> np.ndarray:
+    """``[conj B, conj A]``, the lower block row that the upper ``[A, B]`` fixes."""
+    n = top.shape[0]
+    return top.reshape(n, 2, n)[:, ::-1].conj().reshape(n, 2 * n)
+
+
+def _as_int(value, what: str, error) -> int:
+    """``value`` as an int; bools and non-integral numbers raise ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _as_square_even(matrix, what: str) -> tuple[np.ndarray, int]:
@@ -51,7 +70,7 @@ def _as_square_even(matrix, what: str) -> tuple[np.ndarray, int]:
         raise DimensionMismatch(
             f"{what} must be a square matrix of even dimension, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{what} must have finite entries")
     return arr, arr.shape[0] // 2
 
@@ -69,25 +88,22 @@ class SymplecticMatrix:
 
     def __init__(self, matrix):
         arr, n = _as_square_even(matrix, "symplectic matrix")
-        a, b = arr[:n, :n], arr[:n, n:]
-        structure = max(
-            np.max(np.abs(arr[n:, :n] - b.conj())),
-            np.max(np.abs(arr[n:, n:] - a.conj())),
-        )
+        top = arr[:n]
+        low = _conjugate_row(top)
+        structure = abs(arr[n:] - low).max()
         if structure > STRUCTURE_TOL:
             raise DomainError(
                 f"matrix lacks the conjugate block structure (deviation {structure:.3e})"
             )
-        eye = np.eye(n)
-        residual = max(
-            np.max(np.abs(a @ a.conj().T - b @ b.conj().T - eye)),
-            np.max(np.abs(a @ b.T - b @ a.T)),
-        )
+        # [A, -B] [[A, B], [conj B, conj A]]^+ = [A A^+ - B B^+, A B^T - B A^T]
+        ident = (top * _uncertainty_metric(n).diagonal()) @ np.concatenate((top, low)).conj().T
+        ident.ravel()[:: 2 * n + 1] -= 1.0  # the diagonal of the left block
+        residual = abs(ident).max()
         if not residual <= STRUCTURE_TOL:
             # scaled only here, so gates that pass outright pay nothing for
             # it; the row norms of A bound B's, and an A whose products
             # overflow (residual nan, scale inf) is never accepted
-            tol = STRUCTURE_TOL * max(1.0, float(np.max(np.sum(np.abs(a) ** 2, axis=1))))
+            tol = STRUCTURE_TOL * max(1.0, float((abs(top[:, :n]) ** 2).sum(axis=1).max()))
             if not residual <= tol < math.inf:
                 raise DomainError(
                     f"matrix is not symplectic to tolerance {tol:.3g} "
@@ -131,34 +147,31 @@ class GaussianState:
         sigma, n = _as_square_even(covariance, "covariance matrix")
         d = np.asarray(first_moments, dtype=complex).reshape(-1)
         if d.shape != (2 * n,):
-            raise DimensionMismatch(
-                f"first moments have shape {d.shape}, expected ({2 * n},)"
-            )
-        if not np.all(np.isfinite(d)):
+            raise DimensionMismatch(f"first moments have shape {d.shape}, expected ({2 * n},)")
+        if not np.isfinite(d).all():
             raise DomainError("first moments must be finite")
-        if np.max(np.abs(d[n:] - d[:n].conj())) > STRUCTURE_TOL * max(
-            1.0, float(np.max(np.abs(d)))
-        ):
-            raise DomainError(
-                "first moments must come in conjugate pairs (d_k, conj(d_k))"
-            )
-        herm = np.max(np.abs(sigma - sigma.conj().T))
-        if herm > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
+        # each scale is at least 1, so it is only needed past the unscaled bound
+        pair = abs(d[n:] - d[:n].conj()).max()
+        if pair > STRUCTURE_TOL and pair > STRUCTURE_TOL * max(1.0, float(abs(d).max())):
+            raise DomainError("first moments must come in conjugate pairs (d_k, conj(d_k))")
+        # halved first, so entries near the float limit do not overflow the
+        # sum; halving is exact, so herm is |sigma - sigma^+| to the bit
+        half = 0.5 * sigma
+        half_h = half.conj().T
+        herm = 2.0 * float(abs(half - half_h).max())
+        if herm > 1e-10 and herm > 1e-10 * max(1.0, float(abs(sigma).max())):
             raise DomainError(f"covariance is not Hermitian (deviation {herm:.3e})")
-        # halved first, so entries near the float limit do not overflow the sum
-        sigma = 0.5 * sigma
-        sigma = sigma + sigma.conj().T
+        sigma = half + half_h
         wmin = float(np.linalg.eigvalsh(sigma + _uncertainty_metric(n))[0])
         if wmin < -PHYSICALITY_TOL:
             # eigenvalues are rounded relative to the largest variance
-            tol = PHYSICALITY_TOL * max(1.0, float(np.max(sigma.diagonal().real)))
+            tol = PHYSICALITY_TOL * max(1.0, float(sigma.diagonal().real.max()))
             if wmin < -tol:
                 raise NonPhysicalState(
                     f"covariance violates the uncertainty bound to tolerance {tol:.3g} "
                     f"(min eigenvalue of sigma + i Omega is {wmin:.3e})"
                 )
-        sigma = sigma.copy()
-        sigma.setflags(write=False)
+        sigma.setflags(write=False)  # a fresh sum, shared with no caller
         d = d.copy()
         d.setflags(write=False)
         self._d = d
@@ -183,7 +196,7 @@ class GaussianState:
 
 
 def state_vacuum(n_modes: int) -> GaussianState:
-    n_modes = int(n_modes)
+    n_modes = _as_int(n_modes, "n_modes", DomainError)
     if n_modes < 1:
         raise DomainError("n_modes must be at least 1")
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
@@ -236,16 +249,14 @@ def tensor_product(a: GaussianState, b: GaussianState) -> GaussianState:
 
 def apply_symplectic(state: GaussianState, gate: SymplecticMatrix) -> GaussianState:
     if gate.n_modes != state.n_modes:
-        raise DimensionMismatch(
-            f"gate acts on {gate.n_modes} modes, state has {state.n_modes}"
-        )
+        raise DimensionMismatch(f"gate acts on {gate.n_modes} modes, state has {state.n_modes}")
     s = gate.matrix
     return GaussianState(s @ state.first_moments, s @ state.covariance @ s.conj().T)
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
     """Reduced state of the listed modes, in the listed order."""
-    keep = [int(k) for k in keep]
+    keep = [_as_int(k, "mode index", DimensionMismatch) for k in keep]
     n = state.n_modes
     if not keep:
         raise DimensionMismatch("keep must name at least one mode")
@@ -253,10 +264,8 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
         raise DimensionMismatch(f"keep has repeated modes: {keep}")
     if any(k < 0 or k >= n for k in keep):
         raise DimensionMismatch(f"keep {keep} out of range for {n} modes")
-    idx = keep + [n + k for k in keep]
-    return GaussianState(
-        state.first_moments[idx], state.covariance[np.ix_(idx, idx)]
-    )
+    idx = np.array(keep + [n + k for k in keep])
+    return GaussianState(state.first_moments[idx], state.covariance[idx[:, None], idx])
 
 
 def mean_photon_number(state: GaussianState) -> float:
@@ -277,17 +286,17 @@ def williamson_eigenvalues(state_or_covariance) -> np.ndarray:
         n = state_or_covariance.n_modes
     else:
         sigma, n = _as_square_even(state_or_covariance, "covariance matrix")
-        herm = np.max(np.abs(sigma - sigma.conj().T))
-        if herm > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
+        herm = abs(sigma - sigma.conj().T).max()
+        if herm > 1e-10 * max(1.0, float(abs(sigma).max())):
             raise DomainError(f"covariance is not Hermitian (deviation {herm:.3e})")
     vals = np.abs(np.linalg.eigvals(_uncertainty_metric(n) @ sigma))
     vals.sort()
     lo, hi = vals[0::2], vals[1::2]
     scale = max(1.0, float(vals[-1]))
-    if np.max(np.abs(hi - lo)) > _PAIRING_TOL * scale:
+    gap = float(abs(hi - lo).max())
+    if gap > _PAIRING_TOL * scale:
         raise NumericalError(
-            "symplectic spectrum does not split into +/- pairs "
-            f"(worst gap {float(np.max(np.abs(hi - lo))):.3e})"
+            f"symplectic spectrum does not split into +/- pairs (worst gap {gap:.3e})"
         )
     return 0.5 * (lo + hi)[::-1]
 
@@ -323,16 +332,8 @@ def gate_two_mode_squeezer(r: float) -> SymplecticMatrix:
             f"squeezing parameter must be finite with |r| <= {_MAX_SQUEEZING:g}, got {r!r}"
         )
     c, sh = math.cosh(r), math.sinh(r)
-    m = np.array(
-        [
-            [c, 0.0, 0.0, sh],
-            [0.0, c, sh, 0.0],
-            [0.0, sh, c, 0.0],
-            [sh, 0.0, 0.0, c],
-        ],
-        dtype=complex,
-    )
-    return SymplecticMatrix(m)
+    m = [[c, 0.0, 0.0, sh], [0.0, c, sh, 0.0], [0.0, sh, c, 0.0], [sh, 0.0, 0.0, c]]
+    return SymplecticMatrix(np.array(m, dtype=complex))
 
 
 def mode_mixer_from_overlap(theta: float, phi: float = 0.0) -> SymplecticMatrix:
@@ -348,7 +349,7 @@ def mode_mixer_from_overlap(theta: float, phi: float = 0.0) -> SymplecticMatrix:
         raise DomainError("mixer angles must be finite")
     c, sn = math.cos(theta), math.sin(theta)
     u = np.array(
-        [[c, np.exp(1j * phi) * sn], [-np.exp(-1j * phi) * sn, c]], dtype=complex
+        [[c, cmath.exp(1j * phi) * sn], [-cmath.exp(-1j * phi) * sn, c]], dtype=complex
     )
     return passive_symplectic(u)
 
@@ -358,7 +359,7 @@ def passive_symplectic(unitary) -> SymplecticMatrix:
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"unitary must be square, got shape {u.shape}")
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    dev = abs(u @ u.conj().T - np.eye(u.shape[0])).max()
     if dev > STRUCTURE_TOL:
         raise DomainError(f"matrix is not unitary (deviation {dev:.3e})")
     n = u.shape[0]
@@ -398,20 +399,15 @@ def tritter(theta12: float, theta23: float, theta13: float, delta: float) -> np.
 
 def embed_symplectic(gate: SymplecticMatrix, n_total: int, modes) -> SymplecticMatrix:
     """Act with ``gate`` on the listed modes of a larger register."""
-    modes = [int(m) for m in modes]
-    n_total = int(n_total)
+    modes = [_as_int(m, "mode index", DimensionMismatch) for m in modes]
+    n_total = _as_int(n_total, "n_total", DomainError)
     if len(modes) != gate.n_modes:
-        raise DimensionMismatch(
-            f"gate needs {gate.n_modes} modes, got {len(modes)} targets"
-        )
+        raise DimensionMismatch(f"gate needs {gate.n_modes} modes, got {len(modes)} targets")
     if len(set(modes)) != len(modes) or any(m < 0 or m >= n_total for m in modes):
         raise DimensionMismatch(f"invalid target modes {modes} for {n_total} modes")
+    # [[A, B], [conj B, conj A]] from the gate's upper row, on rows and columns idx
+    top = gate.matrix[: gate.n_modes]
+    idx = np.array(modes + [n_total + m for m in modes])
     big = np.eye(2 * n_total, dtype=complex)
-    a, b = gate.alpha, gate.beta
-    for i, mi in enumerate(modes):
-        for j, mj in enumerate(modes):
-            big[mi, mj] = a[i, j]
-            big[mi, n_total + mj] = b[i, j]
-            big[n_total + mi, mj] = b[i, j].conjugate()
-            big[n_total + mi, n_total + mj] = a[i, j].conjugate()
+    big[idx[:, None], idx] = np.concatenate((top, _conjugate_row(top)))
     return SymplecticMatrix(big)

@@ -137,6 +137,14 @@ def test_cramer_rao_bound_values():
         cramer_rao_bound(1.0, 0)
 
 
+@pytest.mark.parametrize("probe_count", [2.9, 2.0, True, "2"])
+def test_cramer_rao_bound_refuses_non_integral_probe_counts(probe_count):
+    # truncating would read 2.9 as 2 probes and True as one
+    with pytest.raises(DomainError, match="probe_count must be an integer"):
+        cramer_rao_bound(1.0, probe_count=probe_count)
+    assert cramer_rao_bound(1.0, probe_count=np.int64(2)) == 0.5
+
+
 def test_qfi_of_constant_channel_is_zero():
     frozen = state_thermal(0.5)
     rep = qfi_finite_difference(lambda th: frozen, 0.3)

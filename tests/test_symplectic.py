@@ -23,6 +23,7 @@ from graviphoton import (
     mode_mixer_from_overlap,
     partial_trace,
     passive_symplectic,
+    qfi_finite_difference,
     state_coherent,
     state_thermal,
     state_vacuum,
@@ -330,3 +331,214 @@ def test_squeezers_beyond_the_limit_raise_domain_error(r):
     for gate in (gate_single_mode_squeezer, gate_two_mode_squeezer):
         with pytest.raises(DomainError, match=r"\|r\| <= 355\.5"):
             gate(r)
+
+
+@pytest.mark.parametrize("n_modes", [2.5, 2.0, True, np.float64(2.0)])
+def test_state_vacuum_refuses_non_integral_mode_counts(n_modes):
+    with pytest.raises(DomainError, match="n_modes must be an integer"):
+        state_vacuum(n_modes)
+    assert state_vacuum(np.int64(2)).n_modes == 2
+
+
+@pytest.mark.parametrize("keep", [(1.9,), (0, 1.0), (True,), (np.float64(1.0),)])
+def test_partial_trace_refuses_non_integral_modes(keep):
+    # truncating would read 1.9 and True as mode 1
+    with pytest.raises(DimensionMismatch, match="mode index must be an integer"):
+        partial_trace(state_vacuum(2), keep)
+    half = partial_trace(tensor_product(state_vacuum(1), state_thermal(0.5)), (np.int32(1),))
+    assert np.array_equal(half.covariance, state_thermal(0.5).covariance)
+
+
+def test_embed_symplectic_refuses_non_integral_targets():
+    gate = gate_beamsplitter(0.3)
+    with pytest.raises(DimensionMismatch, match="mode index must be an integer"):
+        embed_symplectic(gate, 3, (0.2, 2.9))
+    with pytest.raises(DimensionMismatch, match="mode index must be an integer"):
+        embed_symplectic(gate, 3, (False, 2))
+    with pytest.raises(DomainError, match="n_total must be an integer"):
+        embed_symplectic(gate, 3.7, (0, 2))
+    big = embed_symplectic(gate, np.int64(3), (np.int64(0), 2))
+    assert np.array_equal(big.matrix, embed_symplectic(gate, 3, (0, 2)).matrix)
+
+
+# ---------------------------------------------------------------------------
+# the whole-matrix checks against the per-block checks they replaced
+
+
+def reference_check(matrix):
+    """The four-reduction structure and Bogoliubov check, with the same
+    tolerances: ``(accepted, residual)``, the residual only when accepted."""
+    arr = np.asarray(matrix, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        return False, None
+    n = arr.shape[0] // 2
+    a, b = arr[:n, :n], arr[:n, n:]
+    structure = max(
+        np.max(np.abs(arr[n:, :n] - b.conj())), np.max(np.abs(arr[n:, n:] - a.conj()))
+    )
+    if structure > STRUCTURE_TOL:
+        return False, None
+    residual = max(
+        np.max(np.abs(a @ a.conj().T - b @ b.conj().T - np.eye(n))),
+        np.max(np.abs(a @ b.T - b @ a.T)),
+    )
+    tol = STRUCTURE_TOL * max(1.0, float(np.max(np.sum(np.abs(a) ** 2, axis=1))))
+    if residual <= STRUCTURE_TOL or residual <= tol < math.inf:
+        return True, float(max(structure, residual))
+    return False, None
+
+
+def row_norm_sq(matrix):
+    n = matrix.shape[0] // 2
+    return float(np.max(np.sum(np.abs(matrix[:n, :n]) ** 2, axis=1)))
+
+
+def perturbed(gate, kind, factor, where):
+    """``gate`` moved to ``factor`` times the tolerance of one check.
+
+    ``structure`` adds ``factor * STRUCTURE_TOL`` to one lower-row entry;
+    ``scaled`` multiplies the matrix by ``lam`` with ``lam^2 - 1`` equal to
+    ``factor`` times the scaled tolerance ``STRUCTURE_TOL * lam^2 |A|^2``.
+    """
+    m = gate.matrix.copy()
+    n = gate.n_modes
+    if kind == "structure":
+        m[n + where % n, where % (2 * n)] += factor * STRUCTURE_TOL * np.exp(0.7j * where)
+        return m
+    return m * math.sqrt(1.0 / (1.0 - factor * STRUCTURE_TOL * row_norm_sq(m)))
+
+
+angles = st.floats(-7.0, 7.0)
+squeezings = st.floats(-355.5, 355.5)
+one_mode = squeezings.map(gate_single_mode_squeezer)
+two_mode = st.one_of(
+    squeezings.map(gate_two_mode_squeezer),
+    angles.map(gate_beamsplitter),
+    st.tuples(angles, angles).map(lambda p: mode_mixer_from_overlap(*p)),
+)
+three_mode = st.tuples(angles, angles, angles, angles).map(
+    lambda p: passive_symplectic(tritter(*p))
+)
+gates = st.one_of(one_mode, two_mode, three_mode)
+gate_matrices = st.one_of(
+    gates.map(lambda g: g.matrix),
+    st.tuples(two_mode, two_mode).map(lambda g: g[0].matrix @ g[1].matrix),
+    st.tuples(three_mode, two_mode, st.integers(0, 2)).map(
+        lambda g: g[0].matrix @ embed_symplectic(g[1], 3, ((g[2] + 1) % 3, g[2])).matrix
+    ),
+    # non-adjacent targets, in either order
+    st.tuples(gates, st.integers(0, 1)).map(
+        lambda g: embed_symplectic(g[0], 4, [3, 1, 0][: g[0].n_modes][:: 1 - 2 * g[1]]).matrix
+    ),
+)
+
+
+@given(matrix=gate_matrices)
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_whole_matrix_checks_accept_what_the_block_checks_accept(matrix):
+    accepted, residual = reference_check(matrix)
+    try:
+        got = SymplecticMatrix(matrix)
+    except DomainError:
+        assert not accepted
+        return
+    assert accepted
+    assert abs(got.residual - residual) <= 1e-15 * max(1.0, row_norm_sq(matrix))
+
+
+@given(
+    gate=st.one_of(
+        st.floats(-2.0, 2.0).map(gate_single_mode_squeezer),
+        st.floats(-2.0, 2.0).map(gate_two_mode_squeezer),
+        angles.map(gate_beamsplitter),
+        three_mode,
+    ),
+    factor=st.sampled_from([0.5, 2.0]),
+    where=st.integers(0, 5),
+)
+# at r = 10 the scaled tolerance is 1.2e-4, eight decades above STRUCTURE_TOL;
+# the structure perturbation lands on a zero entry
+@example(gate=gate_two_mode_squeezer(10.0), factor=0.5, where=0)
+@example(gate=gate_two_mode_squeezer(10.0), factor=2.0, where=0)
+@settings(max_examples=120, deadline=None)
+def test_whole_matrix_checks_hold_both_tolerances(gate, factor, where):
+    for kind in ("structure", "scaled"):
+        matrix = perturbed(gate, kind, factor, where)
+        accepted, _ = reference_check(matrix)
+        assert accepted == (factor < 1.0)
+        if accepted:
+            SymplecticMatrix(matrix)
+        else:
+            with pytest.raises(DomainError):
+                SymplecticMatrix(matrix)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_whole_matrix_checks_hold_the_second_identity(factor):
+    # [[1, eps J], [eps J, 1]] with J antisymmetric meets A A^+ - B B^+ = 1 up
+    # to eps^2 and misses A B^T = B A^T by 2 eps = factor * STRUCTURE_TOL
+    j = 0.5 * factor * STRUCTURE_TOL * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    matrix = np.block([[np.eye(2), j], [j, np.eye(2)]])
+    for m in (matrix, embed_symplectic(gate_beamsplitter(0.4), 2, (1, 0)).matrix @ matrix):
+        assert reference_check(m)[0] == (factor < 1.0)
+        if factor < 1.0:
+            SymplecticMatrix(m)
+        else:
+            with pytest.raises(DomainError, match="not symplectic"):
+                SymplecticMatrix(m)
+
+
+def count_constructions(monkeypatch):
+    """Counts of validated ``SymplecticMatrix`` and ``GaussianState`` builds."""
+    counts = {SymplecticMatrix: 0, GaussianState: 0}
+    for cls in counts:
+
+        def counted(self, *args, _cls=cls, _init=cls.__init__):
+            counts[_cls] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_every_sensing_object_is_still_validated(monkeypatch):
+    counts = count_constructions(monkeypatch)
+    _, apply = build_sensing_channel(SensingChannel(0.6))
+    assert list(counts.values()) == [2, 2]
+    apply(0.4)
+    assert list(counts.values()) == [2 + 4, 2 + 2]
+    qfi_finite_difference(apply, 0.4)
+    assert list(counts.values()) == [6 + 16, 4 + 8]
+
+
+def loop_embedding(gate, n_total, modes):
+    """The scalar double loop ``embed_symplectic`` replaced, as its reference."""
+    big = np.eye(2 * n_total, dtype=complex)
+    a, b = gate.alpha, gate.beta
+    for i, mi in enumerate(modes):
+        for j, mj in enumerate(modes):
+            big[mi, mj] = a[i, j]
+            big[mi, n_total + mj] = b[i, j]
+            big[n_total + mi, mj] = b[i, j].conjugate()
+            big[n_total + mi, n_total + mj] = a[i, j].conjugate()
+    return big
+
+
+def test_embed_symplectic_matches_the_loop_construction():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        p = rng.uniform(-2.0, 2.0, size=6)
+        # complex A and B, and a stored lower row off the conjugate of the
+        # upper one within STRUCTURE_TOL: the embedding reads the upper row
+        cases = (
+            SymplecticMatrix(perturbed(gate_single_mode_squeezer(p[0]), "structure", 0.5, 1)),
+            mode_mixer_from_overlap(p[1], p[2]) @ gate_two_mode_squeezer(p[3]),
+            passive_symplectic(tritter(*p[2:]))
+            @ embed_symplectic(gate_two_mode_squeezer(p[0]), 3, (2, 0)),
+        )
+        for gate in cases:
+            n_total = gate.n_modes + int(rng.integers(2, 4))
+            modes = [int(m) for m in rng.permutation(n_total)[: gate.n_modes]]
+            got = embed_symplectic(gate, n_total, modes)
+            assert np.array_equal(got.matrix, loop_embedding(gate, n_total, modes))

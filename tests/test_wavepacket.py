@@ -259,6 +259,18 @@ def test_grid_overlaps_allocate_blocks_not_grids():
         assert peak - base <= limit_mib * 2**20
 
 
+def test_grid_overlap_panel_limit_counts_the_union():
+    # 150k nodes each: the bound a._du.size + xb.size - 1 passes the 262,144
+    # panel limit, so the exact union decides
+    a = sampled_gaussian(W0, SIG, n=150_000)
+    b = sampled_gaussian(W0, SIG, n=150_000, phase=0.7)  # the same nodes
+    assert abs(overlap(a, b) - cmath.exp(0.7j)) < 1e-9
+    step = a.omega_rad_s[1] - a.omega_rad_s[0]
+    c = SampledGridProfile.from_samples(a.omega_rad_s + 0.5 * step, a.amplitude)
+    with pytest.raises(QuadratureError, match="needs 1199996 evaluations"):
+        overlap(a, c)
+
+
 def test_grid_overlap_evaluation_counts(monkeypatch):
     a = exact_grid(100, 0.0, 2.0**-20, seed=3)
     b = exact_grid(120, 0.0, 2.0**-20, seed=4)
