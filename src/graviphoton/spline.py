@@ -4,9 +4,10 @@ A spline is held as breakpoints ``x`` (length n, strictly increasing) and
 coefficients ``c`` of shape (4, n - 1), highest power first, so that on
 ``[x[i], x[i+1]]`` it equals ``sum_m c[m, i] (t - x[i])^(3 - m)`` (the layout
 of scipy's ``PPoly``).  Outside ``[x[0], x[-1]]`` it is zero.  Everything is
-vectorized numpy.  Overlaps walk their panels in blocks of ``_BLOCK``: each
-temporary then has one block's size, not the grid's, so a large grid neither
-spills the cache nor maps fresh pages for every array it builds.
+vectorized numpy.  The fit works in place in its output and stops reducing
+once the rows decouple.  An overlap merges the two node lists once and walks
+the panels in blocks of ``_BLOCK``, so a large grid neither spills the cache
+nor maps fresh pages for every array it builds.
 """
 
 from __future__ import annotations
@@ -35,73 +36,73 @@ def not_a_knot(x, y):
     *A Practical Guide to Splines*, 1978) are folded into the first and last
     interior rows, which leaves a strictly diagonally dominant tridiagonal
     system, solved by cyclic reduction.  The rows are those of scipy's
-    ``CubicSpline``.  Real and imaginary parts are carried as two real rows,
+    ``CubicSpline``.  They carry real and imaginary parts as two real rows,
     since numpy mixes real and complex operands far slower than two reals.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=complex)
-    y = np.stack((y.real, y.imag))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=complex)
     dx = np.diff(x)
-    slope = np.diff(y) / dx
-    # interior rows i = 1..n-2, off-diagonals stored negated:
-    # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i]
-    lower = -dx[1:]
+    c = np.empty((4, dx.size), dtype=complex)
+    re = c.view(float).reshape(4, dx.size, 2).transpose(0, 2, 1)  # re[m]: c[m] as 2 real rows
+    sl, sr, s = c[1], re[1], c[2]  # c[1] holds the secant slopes until the end, c[2] the slopes
+    c[3] = y[:-1]
+    np.subtract(y[1:], y[:-1], out=sl)
+    sr /= dx
+    # interior rows i = 1..n-2 as (lower, upper, rhs.real, rhs.imag), off-diagonals
+    # negated: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i]
+    rows = np.array([-dx[1:], -dx[:-1], *(3.0 * (sr[:, :-1] * dx[1:] + sr[:, 1:] * dx[:-1]))])
     diag = 2.0 * (dx[:-1] + dx[1:])
-    upper = -dx[:-1]
-    rhs = 3.0 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
     # end rows: dx[1] s[0] + d0 s[1] = r0 and d1 s[-2] + dx[-2] s[-1] = r1;
     # subtracting them from rows 1 and n-2 removes s[0] and s[-1]
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    r0 = ((dx[0] + 2.0 * d0) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / d0
-    r1 = (dx[-1] ** 2 * slope[:, -2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[:, -1]) / d1
-    diag[0] -= d0
-    rhs[:, 0] -= r0
-    diag[-1] -= d1
-    rhs[:, -1] -= r1
-    lower[0] = upper[-1] = 0.0
-    inner = _cyclic_reduction(lower, diag, upper, rhs)
-    s = np.column_stack(
-        ((r0 - d0 * inner[:, 0]) / dx[1], inner, (r1 - d1 * inner[:, -1]) / dx[-2])
-    )
-    t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / dx
-    parts = (t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y[:, :-1])
-    c = np.empty((4, dx.size), dtype=complex)
-    c.real, c.imag = np.stack(parts, axis=1)
+    r0 = ((dx[0] + 2.0 * d0) * dx[1] * sl[0] + dx[0] ** 2 * sl[1]) / d0
+    r1 = (dx[-1] ** 2 * sl[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * sl[-1]) / d1
+    diag[[0, -1]] -= d0, d1
+    rows[2:, [0, -1]] -= (r0.real, r1.real), (r0.imag, r1.imag)
+    rows[0, 0] = rows[1, -1] = 0.0
+    _cyclic_reduction(rows, diag)
+    re[2, :, 1:] = rows[2:]
+    s[0] = (r0 - d0 * s[1]) / dx[1]
+    # t = (s[:-1] + s[1:] - 2 sl)/dx; then c[0] = t/dx and c[1] = (sl - s[:-1])/dx - t
+    np.add(s[:-1], s[1:], out=c[0, :-1])
+    c[0, -1] = s[-1] + (r1 - d1 * s[-1]) / dx[-2]
+    c[0] -= 2.0 * sl
+    re[0] /= dx
+    sl -= s
+    sr /= dx
+    sl -= c[0]
+    re[0] /= dx
     return c
 
 
-def _cyclic_reduction(lower, diag, upper, rhs):
+def _cyclic_reduction(rows, diag):
     """Solve a diagonally dominant tridiagonal system by odd-even reduction.
 
-    Row i reads ``diag[i] v[i] - lower[i] v[i-1] - upper[i] v[i+1] = rhs[i]``
-    (off-diagonals negated), with ``lower[0] = upper[-1] = 0``; ``rhs`` may
-    hold several right-hand sides along its leading axis.  Each level adds
-    multiples of the even rows to the odd ones, which removes the even
-    unknowns, halves the system and keeps it diagonally dominant, so no
-    pivoting is needed.
+    ``rows`` stacks ``(lower, upper, rhs...)``; row i reads ``diag[i] v[i] -
+    lower[i] v[i-1] - upper[i] v[i+1] = rhs[i]`` with ``lower[0] = upper[-1]
+    = 0``, and ``v`` overwrites ``rhs``.  Each level adds multiples of the even
+    rows to the odd ones, which removes the even unknowns, halves the system
+    and keeps it diagonally dominant, so no pivoting is needed.  Off-diagonals
+    fall about quadratically per level against the diagonal (Heller, *SIAM J.
+    Numer. Anal.* 13, 1976): once below rounding in every row, they are dropped.
     """
-    m = diag.size
-    if m == 1:
-        return rhs / diag
-    if m % 2 == 0:  # append the decoupled row v = 0, so both ends are even
-        lower, diag, upper = np.append(lower, 0.0), np.append(diag, 1.0), np.append(upper, 0.0)
-        rhs = np.append(rhs, np.zeros(rhs.shape[:-1] + (1,)), axis=-1)
-    le, de, ue, re = lower[0::2], diag[0::2], upper[0::2], rhs[..., 0::2]
-    f = lower[1::2] / de[:-1]
-    g = upper[1::2] / de[1:]
-    odd = _cyclic_reduction(
-        f * le[:-1],
-        diag[1::2] - f * ue[:-1] - g * le[1:],
-        g * ue[1:],
-        rhs[..., 1::2] + f * re[..., :-1] + g * re[..., 1:],
-    )
-    # each even row between its odd neighbours, zero beyond both ends
-    pad = np.zeros(odd.shape[:-1] + (1,))
-    around = np.concatenate((pad, odd, pad), axis=-1)
-    v = np.empty(rhs.shape)
-    v[..., 1::2] = odd
-    v[..., 0::2] = (re + le * around[..., :-1] + ue * around[..., 1:]) / de
-    return v[..., :m]
+    even, odd, de = rows[:, 0::2], rows[:, 1::2], diag[0::2]
+    k, q = odd.shape[1], de.size - 1  # the first q odd rows have an even row on their right
+    low = even[:, :k] * (odd[0] / de[:k])  # becomes the reduced system
+    high = even[:, 1:] * (odd[1, :q] / de[1:])
+    dn = diag[1::2] - low[1]
+    dn[:q] -= high[0]
+    low[1, :q], low[1, q:] = high[1], 0.0
+    low[2:] += odd[2:]
+    low[2:, :q] += high[2:]
+    # a reduced system has no negative off-diagonal
+    if k > 1 and ((low[0] + low[1]) / dn).max() > 2.0**-53:
+        _cyclic_reduction(low, dn)
+    else:
+        low[2:] /= dn
+    odd[2:] = low[2:]
+    even[2:, 1:] += even[0, 1:] * low[2:, :q]
+    even[2:, :k] += even[1, :k] * low[2:]
+    even[2:] /= de
 
 
 def evaluate(x, c, t, piece=None):
@@ -120,7 +121,7 @@ def evaluate(x, c, t, piece=None):
     # as a pass of Horner's rule
     dt = s - x[piece]
     dt[outside] = 0.0
-    cp = c[:, piece]
+    cp = np.take(c, piece, axis=1)  # row-major, unlike c[:, piece]
     v = cp[0] * dt
     for k in (1, 2):
         v += cp[k]
@@ -138,44 +139,43 @@ def overlap(xa, ca, xb, cb):
     shifted to the panel's left edge and scaled to the panel width ``w``, and
     the product of the two cubics is integrated term by term,
     ``w conj(a)^T G b`` with ``G[j, k] = 1/(7 - j - k)``.  Disjoint supports
-    give 0.  Splines on the same breakpoints (a norm) skip the search and the
-    shift: each panel is a piece of both.
+    give 0.  One merge of the node lists finds the panels: each starts at a
+    node of one spline, whose cubic needs no shift, and ends at the next node
+    of either.  Splines on the same breakpoints (a norm) skip the merge.
     """
-    lo, hi = max(xa[0], xb[0]), min(xa[-1], xb[-1])
-    if not lo < hi:
+    if not max(xa[0], xb[0]) < min(xa[-1], xb[-1]):
         return 0j
     if xb is xa:
-        edges = xa
-    else:
-        edges = np.union1d(xa, xb)
-        edges = np.concatenate(([lo], edges[(edges > lo) & (edges < hi)], [hi]))
+        return _panels(xa, ca, 0, xa.size - 1, cb)
+    # xb[j] follows kb[j] nodes of A and xa[i] follows ka[i] nodes of B, so a
+    # node of both starts a zero-width panel from B, which adds exactly 0
+    kb = np.searchsorted(xa, xb)
+    ka = np.bincount(kb, minlength=xa.size)[: xa.size].cumsum()
+    from_b = _panels(xb, cb, ka[0], min(xb.size - 1, ka[-1]), ca, xa, kb)
+    return _panels(xa, ca, kb[0], min(xa.size - 1, kb[-1]), cb, xb, ka) + from_b.conjugate()
+
+
+def _panels(x, c, first, stop, cy, y=None, k=None):
+    """``integral conj(X) Y`` over the panels from ``x[first:stop]`` to the next
+    node of X or Y, where Y is the piece at ``y[k - 1]`` (X's nodes if no ``y``)."""
     total = 0j
-    for start in range(0, edges.size - 1, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        left = edges[start : start + _BLOCK + 1]
-        width = np.diff(left)
-        # complex once per block, so no product below casts it again
-        scale = np.array([width**3, width**2, width, np.ones_like(width)], dtype=complex)
-        if xb is xa:
-            a = ca[:, block] * scale
-            b = a if cb is ca else cb[:, block] * scale
-        else:
-            a = _panel_cubics(xa, ca, left[:-1], scale)
-            b = _panel_cubics(xb, cb, left[:-1], scale)
+    for start in range(first, stop, _BLOCK):
+        end = min(start + _BLOCK, stop)
+        left, right, b = x[start:end], x[start + 1 : end + 1], cy[:, start:end]
+        if y is not None:  # Y's pieces, shifted to the left edge by synthetic division
+            right = np.minimum(right, y.take(k[start:end]))
+            piece = k[start:end] - 1
+            h = np.subtract(left, y.take(piece), dtype=complex)
+            b = np.take(cy, piece, axis=1)  # row-major, unlike cy[:, piece]
+            for j in (1, 2, 3, 1, 2, 1):
+                b[j] += h * b[j - 1]
+        width = right - left
+        # w^4 .. w^0, complex once per block, so no product below casts it again
+        scale, w2 = np.empty((5, end - start), dtype=complex), width * width
+        scale[0], scale[1], scale[2], scale[3], scale[4] = w2 * w2, w2 * width, w2, width, 1.0
+        b = np.multiply(b, scale[1:], out=None if y is None else b)
         # G is real: one real product acts on real and imaginary parts at once
         gb = (_gram() @ b.view(float)).view(complex)
-        gb *= scale[2]  # the factor w
-        total += np.vdot(a, gb)
+        gb *= scale[:4]  # X's own powers of w, times w
+        total += np.vecdot(c[:, start:end], gb).sum()
     return complex(total)
-
-
-def _panel_cubics(x, c, left, scale):
-    """Coefficients, highest power first, in ``(t - left)/width`` per panel."""
-    i = np.searchsorted(x[1:-1], left, side="right")
-    h = (left - x[i]).astype(complex)
-    out = np.take(c, i, axis=1)  # row-major, unlike c[:, i]
-    for k in range(3):  # Taylor shift to the left edge by synthetic division
-        for j in range(1, 4 - k):
-            out[j] += h * out[j - 1]
-    out *= scale
-    return out

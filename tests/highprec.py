@@ -59,6 +59,50 @@ def as_float(x):
     return float(x)
 
 
+def not_a_knot(x, y):
+    """Not-a-knot cubic spline coefficients at the working precision.
+
+    Returns rows ``c[m][i]``, highest power first, in the layout of scipy's
+    ``PPoly``.  The slopes ``s`` at the nodes solve de Boor's n rows, the
+    rows of scipy's ``CubicSpline``: interior rows ``dx[i] s[i-1] + 2 (dx[i-1]
+    + dx[i]) s[i] + dx[i-1] s[i+1] = 3 (dx[i] m[i-1] + dx[i-1] m[i])`` with
+    secant slopes ``m``, and the two not-a-knot rows at the ends.  The system
+    is tridiagonal and is eliminated in order, without pivoting, which at 60
+    digits leaves far more correct digits than a double holds.  Float inputs
+    are taken as exact binary values.
+    """
+    xs = [mp.mpf(float(v)) for v in x]
+    ys = [mp.mpc(complex(v)) for v in y]
+    n = len(xs)
+    dx = [xs[i + 1] - xs[i] for i in range(n - 1)]
+    m = [(ys[i + 1] - ys[i]) / dx[i] for i in range(n - 1)]
+    d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
+    sub = [mp.mpf(0)] + dx[1:] + [d1]
+    diag = [dx[1]] + [2 * (dx[i - 1] + dx[i]) for i in range(1, n - 1)] + [dx[-2]]
+    sup = [d0] + dx[:-1] + [mp.mpf(0)]
+    rhs = (
+        [((dx[0] + 2 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0]
+        + [3 * (dx[i] * m[i - 1] + dx[i - 1] * m[i]) for i in range(1, n - 1)]
+        + [(dx[-1] ** 2 * m[-2] + (2 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1]
+    )
+    for i in range(1, n):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [mp.mpc(0)] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - sup[i] * s[i + 1]) / diag[i]
+    t = [(s[i] + s[i + 1] - 2 * m[i]) / dx[i] for i in range(n - 1)]
+    return [
+        [t[i] / dx[i] for i in range(n - 1)],
+        [(m[i] - s[i]) / dx[i] - t[i] for i in range(n - 1)],
+        s[:-1],
+        ys[:-1],
+    ]
+
+
 def _shifted_cubic(coeffs, d):
     """Ascending coefficients in ``s`` of ``sum_m c_m (s + d)^(3 - m)``."""
     out = [mp.mpc(0)] * 4

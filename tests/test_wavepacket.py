@@ -259,6 +259,22 @@ def test_grid_overlaps_allocate_blocks_not_grids():
         assert peak - base <= limit_mib * 2**20
 
 
+def test_spline_fit_allocates_little_beyond_its_coefficients():
+    # the fit computes in place in its output; at 100,001 nodes the
+    # coefficients take 6.1 MiB, and everything else at its peak less than 2.5 times that
+    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 100_001)
+    du, amp = w - w[0], np.exp(-(((w - W0) / SIG) ** 2) / 2.0 + 0.3j * (w - W0) / SIG)
+    wavepacket.spline.not_a_knot(du, amp)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        c = wavepacket.spline.not_a_knot(du, amp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 3.5 * c.nbytes
+
+
 def test_grid_overlap_panel_limit_counts_the_union():
     # 150k nodes each: the bound a._du.size + xb.size - 1 passes the 262,144
     # panel limit, so the exact union decides
