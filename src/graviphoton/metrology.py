@@ -27,6 +27,7 @@ from .symplectic import (
     gate_beamsplitter,
     gate_two_mode_squeezer,
     partial_trace,
+    passive_symplectic,
     state_vacuum,
 )
 
@@ -93,10 +94,11 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     if a.n_modes == 1:
         return _finish_fidelity(_single_mode_fidelity(sa, sb))
     k, eye = _two_mode_metric()
-    gamma_c = np.linalg.det(eye + k @ sa @ k @ sb)
-    lam_c = np.linalg.det(eye + k @ sa) * np.linalg.det(eye + k @ sb)
-    # det(K) = 1 on four modes, so the symplectic-form prefactor drops out.
-    eta_c = np.linalg.det(k @ sa + k @ sb)
+    ka, kb = k @ sa, k @ sb
+    # gamma, the two factors of lambda, eta, det sigma_a and det sigma_b in one
+    # call; det(K) = 1 on four modes, so the symplectic-form prefactor drops out
+    dets = np.linalg.det(np.stack((eye + ka @ k @ sb, eye + ka, eye + kb, ka + kb, sa, sb)))
+    gamma_c, lam_c, eta_c = dets[0], dets[1] * dets[2], dets[3]
     scale = max(1.0, abs(gamma_c), abs(lam_c), abs(eta_c))
     for name, val in (("gamma", gamma_c), ("lambda", lam_c), ("eta", eta_c)):
         if abs(val.imag) > 1e-8 * scale:
@@ -119,10 +121,8 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
 
     if eta <= 0.0:
         raise NumericalError(f"fidelity determinant eta is not positive: {eta:.3e}")
-    det_a = float(np.linalg.det(sa).real)
-    det_b = float(np.linalg.det(sb).real)
     rg = _clamped_sqrt("gamma", gamma)
-    if min(abs(det_a - 1.0), abs(det_b - 1.0)) < _PURITY_TOL:
+    if min(abs(dets[4].real - 1.0), abs(dets[5].real - 1.0)) < _PURITY_TOL:
         # with a pure input, lambda and the radical vanish identically; the
         # general branch would take sqrt of pure rounding noise there
         fid = 4.0 * rg / eta
@@ -228,11 +228,13 @@ class SensingChannel:
     squeezing_r: float
 
     def __post_init__(self):
-        if not abs(float(self.squeezing_r)) <= MAX_SQUEEZING_R:
+        r = self.squeezing_r
+        # a bool is refused, not read as 0 or 1
+        if isinstance(r, bool) or not abs(float(r)) <= MAX_SQUEEZING_R:
             raise DomainError(
-                f"squeezing_r must be finite with |r| <= {MAX_SQUEEZING_R:g}, "
-                f"got {self.squeezing_r!r}"
+                f"squeezing_r must be a finite number with |r| <= {MAX_SQUEEZING_R:g}, got {r!r}"
             )
+        object.__setattr__(self, "squeezing_r", float(r))
 
 
 def check_probe_angle(theta: float) -> float:
@@ -255,8 +257,9 @@ def build_sensing_channel(channel: SensingChannel):
     initial = apply_symplectic(state_vacuum(4), squeezer)
 
     def apply(theta: float) -> GaussianState:
-        tap = gate_beamsplitter(check_probe_angle(theta))
-        taps = embed_symplectic(tap, 4, (0, 2)) @ embed_symplectic(tap, 4, (1, 3))
+        # tap k mixes b_k with c_k: both taps are the unitary u (x) 1_2 on (b1, b2, c1, c2)
+        u = gate_beamsplitter(check_probe_angle(theta)).alpha
+        taps = passive_symplectic((u[:, None, :, None] * np.eye(2)[:, None]).reshape(4, 4))
         return partial_trace(apply_symplectic(initial, taps), (0, 1))
 
     return initial, apply

@@ -359,6 +359,8 @@ def passive_symplectic(unitary) -> SymplecticMatrix:
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"unitary must be square, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise DomainError("unitary must have finite entries")
     dev = abs(u @ u.conj().T - np.eye(u.shape[0])).max()
     if dev > STRUCTURE_TOL:
         raise DomainError(f"matrix is not unitary (deviation {dev:.3e})")

@@ -70,6 +70,44 @@ def test_only_the_cli_names_config_parse_errors():
     assert found == {"cli", "errors"}
 
 
+_VALIDATED = {"SymplecticMatrix", "GaussianState"}
+
+
+def _unvalidated_builds(source, name):
+    """Lines that reach ``__new__`` of a validated class, so skip its ``__init__``."""
+    tree = ast.parse(source, filename=name)
+    scopes = [(None, tree)] + [(n.name, n) for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    found = set()
+    for owner, scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                named = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+                named = {n.id for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+            else:
+                continue
+            if owner in _VALIDATED or named & _VALIDATED:
+                found.add(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_no_module_builds_a_validated_object_past_its_init():
+    # every SymplecticMatrix and GaussianState goes through its validating
+    # __init__, so fewer objects per row means fewer objects, not fewer checks
+    probes = (
+        "GaussianState.__new__(GaussianState)",
+        "object.__new__(SymplecticMatrix)",
+        "class SymplecticMatrix:\n    def f(cls):\n        return cls.__new__(cls)",
+    )
+    assert all(_unvalidated_builds(p, "probe") for p in probes)
+    found = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _unvalidated_builds(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert found == []
+
+
 # concurrent holds only concurrent.futures
 _BANNED = ("scipy", "multiprocessing", "concurrent")
 

@@ -11,15 +11,21 @@ from graviphoton import (
     DimensionMismatch,
     DomainError,
     EstimationReport,
+    GraviphotonError,
+    NumericalError,
     SensingChannel,
     apply_symplectic,
     build_sensing_channel,
     cramer_rao_bound,
+    embed_symplectic,
     gate_beamsplitter,
     gate_single_mode_squeezer,
     gate_two_mode_squeezer,
     gaussian_fidelity,
     mean_photon_number,
+    metrology,
+    mode_mixer_from_overlap,
+    partial_trace,
     qfi_finite_difference,
     qfi_sweep,
     sensing_qfi,
@@ -181,9 +187,15 @@ def test_estimation_report_is_frozen():
 
 
 def test_sensing_channel_validation():
-    for r in (math.inf, math.nan, MAX_SQUEEZING_R + 1.0, -800.0):
+    for r in (math.inf, math.nan, MAX_SQUEEZING_R + 1.0, -800.0, True, False):
         with pytest.raises(DomainError, match="squeezing_r"):
             SensingChannel(r)
+    # the squeezing is kept as a float, as the closed form reads it
+    channel = SensingChannel("0.3")
+    assert channel.squeezing_r == 0.3 and type(channel.squeezing_r) is float
+    assert math.isfinite(sensing_qfi(channel, 0.4).qfi)
+    assert sensing_qfi(channel, 0.4) == sensing_qfi(SensingChannel(0.3), 0.4)
+    assert type(SensingChannel(np.float64(0.3)).squeezing_r) is float
     _, tap = build_sensing_channel(SensingChannel(0.3))
     with pytest.raises(DomainError):
         tap(3.0)
@@ -292,3 +304,114 @@ def test_fidelity_stays_in_unit_interval(nbar, s):
     b = apply_symplectic(state_thermal(nbar / 2.0), gate_single_mode_squeezer(s))
     value = gaussian_fidelity(a, b)
     assert 0.0 <= value <= 1.0
+
+
+def test_one_gate_taps_equal_the_two_embedding_product(monkeypatch):
+    # the map applies both taps as the passive unitary u (x) 1_2; it must
+    # equal the product of the two embedded taps bit for bit, and so must
+    # the kept pair it gives
+    seen = []
+
+    def recording(state, gate):
+        seen.append(gate)
+        return apply_symplectic(state, gate)
+
+    initial, apply = build_sensing_channel(SensingChannel(0.6))
+    monkeypatch.setattr(metrology, "apply_symplectic", recording)
+    angles = np.linspace(0.0, math.pi / 2.0, 2001).tolist() + [1e-300, math.pi / 2.0 - 1e-16]
+    assert angles[0] == 0.0 and angles[2000] == math.pi / 2.0
+    for theta in angles:
+        got = apply(theta)
+        tap = gate_beamsplitter(theta)
+        want = embed_symplectic(tap, 4, (0, 2)) @ embed_symplectic(tap, 4, (1, 3))
+        assert np.array_equal(seen.pop().matrix, want.matrix), theta
+        kept = partial_trace(apply_symplectic(initial, want), (0, 1))
+        assert np.array_equal(got.covariance, kept.covariance), theta
+
+
+def six_det_fidelity(a, b):
+    """The two-mode fidelity with one ``det`` call per determinant, as its reference."""
+    k, eye = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex), np.eye(4)
+    sa, sb = a.covariance, b.covariance
+    gamma_c = np.linalg.det(eye + k @ sa @ k @ sb)
+    lam_c = np.linalg.det(eye + k @ sa) * np.linalg.det(eye + k @ sb)
+    eta_c = np.linalg.det(k @ sa + k @ sb)
+    scale = max(1.0, abs(gamma_c), abs(lam_c), abs(eta_c))
+    for name, val in (("gamma", gamma_c), ("lambda", lam_c), ("eta", eta_c)):
+        if abs(val.imag) > 1e-8 * scale:
+            raise NumericalError(f"fidelity determinant {name} has imaginary part {val.imag:.3e}")
+    gamma, lam, eta = gamma_c.real, lam_c.real, eta_c.real
+
+    def clamped_sqrt(name, x):
+        if x < 0.0:
+            if x < -1e-9 * scale:
+                raise NumericalError(f"fidelity determinant {name} is negative: {x:.3e}")
+            x = 0.0
+        return math.sqrt(x)
+
+    if eta <= 0.0:
+        raise NumericalError(f"fidelity determinant eta is not positive: {eta:.3e}")
+    det_a = float(np.linalg.det(sa).real)
+    det_b = float(np.linalg.det(sb).real)
+    rg = clamped_sqrt("gamma", gamma)
+    if min(abs(det_a - 1.0), abs(det_b - 1.0)) < 1e-10:
+        fid = 4.0 * rg / eta
+    else:
+        rl = clamped_sqrt("lambda", lam)
+        inner = clamped_sqrt("radical", (rg + rl) ** 2 - eta)
+        fid = 4.0 * (rg + rl + inner) / eta
+    if fid > 1.0:
+        if fid > 1.0 + 1e-9:
+            raise NumericalError(f"fidelity {fid!r} exceeds 1 beyond tolerance")
+        fid = 1.0
+    if fid < 0.0:
+        raise NumericalError(f"fidelity {fid!r} is negative")
+    return fid
+
+
+def _outcome(fidelity, a, b):
+    try:
+        return fidelity(a, b).hex()
+    except GraviphotonError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_two_mode_state(r, nbars, theta, phi, squeezings):
+    state = apply_symplectic(
+        tensor_product(state_thermal(nbars[0]), state_thermal(nbars[1])),
+        gate_two_mode_squeezer(r),
+    )
+    state = apply_symplectic(state, mode_mixer_from_overlap(theta, phi))
+    for mode, s in enumerate(squeezings):
+        state = apply_symplectic(state, embed_symplectic(gate_single_mode_squeezer(s), 2, (mode,)))
+    return state
+
+
+def test_stacked_determinants_match_six_calls_bit_for_bit():
+    rng = np.random.default_rng(24)
+    pairs = []
+    for r in (0.0, 0.1, 0.6, 2.0, 5.0, 10.0, 20.0):
+        for _ in range(12):
+            # pure inputs (nbar 0) take the pure branch, mixed ones the radical
+            nbars = rng.choice([0.0, 0.0, 0.3, 2.0], size=2) * rng.uniform(0.5, 1.5, size=2)
+            args = [r, nbars, rng.uniform(0.0, math.pi / 2.0), rng.uniform(-math.pi, math.pi),
+                    rng.uniform(-1.0, 1.0, size=2)]
+            a = _random_two_mode_state(*args)
+            # a far state, and a near one that leaves the fidelity close to 1
+            far = _random_two_mode_state(rng.uniform(0.0, r), nbars[::-1], *args[2:])
+            args[2] += 1e-5
+            near = _random_two_mode_state(*args)
+            pairs += [(a, far), (a, near), (near, a), (a, a)]
+    theta = 0.5
+    base = 1e-4 * max(1.0, theta)
+    for r in (0.1, 0.3, 0.6):
+        _, apply = build_sensing_channel(SensingChannel(r))
+        stencil = [apply(theta + sign * step / 2.0) for step in (base, base / 2.0) for sign in (-1, 1)]
+        pairs += [(x, y) for x in stencil for y in stencil]
+    outcomes = [_outcome(gaussian_fidelity, a, b) for a, b in pairs]
+    assert outcomes == [_outcome(six_det_fidelity, a, b) for a, b in pairs]
+    # the comparison reaches fidelities near 1, far below it, and refusals:
+    # from r = 5 cancellation in gamma leaves imaginary parts past its check
+    values = [float.fromhex(o) for o in outcomes if isinstance(o, str)]
+    assert min(values) < 0.5 and max(values) > 1.0 - 1e-9
+    assert len(pairs) // 2 < len(values) < len(pairs)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,13 @@ def test_passive_symplectic_requires_unitary():
     assert symplectic_residual(gate) < 1e-12
     with pytest.raises(DomainError, match="not unitary"):
         passive_symplectic(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any product warns
+            with pytest.raises(DomainError, match="unitary must have finite entries"):
+                passive_symplectic(u)
 
 
 def test_passive_gates_conserve_photon_number():
@@ -506,10 +514,11 @@ def test_every_sensing_object_is_still_validated(monkeypatch):
     counts = count_constructions(monkeypatch)
     _, apply = build_sensing_channel(SensingChannel(0.6))
     assert list(counts.values()) == [2, 2]
+    # one apply: the tap gate and the four-mode taps, the evolved and the kept state
     apply(0.4)
-    assert list(counts.values()) == [2 + 4, 2 + 2]
+    assert list(counts.values()) == [2 + 2, 2 + 2]
     qfi_finite_difference(apply, 0.4)
-    assert list(counts.values()) == [6 + 16, 4 + 8]
+    assert list(counts.values()) == [4 + 8, 4 + 8]
 
 
 def loop_embedding(gate, n_total, modes):
