@@ -40,8 +40,7 @@ class NumericalError(GraviphotonError):
 
 
 class QuadratureError(NumericalError):
-    """An integral of a tabulated profile exceeded its budget, or panel
-    quadrature its error estimate."""
+    """An overlap of two tabulated profiles exceeded its panel limit."""
 
 
 class NonPhysicalState(NumericalError):

@@ -189,7 +189,7 @@ def qfi_finite_difference(channel, theta: float, *, probe_count: int = 1) -> Est
     step ``1e-4 * max(1, |theta|)`` and half of it, combined with one
     Richardson extrapolation.
     """
-    theta = float(theta)
+    theta, probe_count = float(theta), check_probe_count(probe_count)
     base_step = _BASE_STEP_SCALE * max(1.0, abs(theta))
     fine_step = base_step / 2.0
 
@@ -277,7 +277,7 @@ def sensing_qfi(channel: SensingChannel, theta: float, probe_count: int = 1) -> 
     ``8 s`` at both endpoints.  Every term is non-negative, and grouped this
     way nothing overflows for ``|r| <= MAX_SQUEEZING_R``.
     """
-    theta = check_probe_angle(theta)
+    theta, probe_count = check_probe_angle(theta), check_probe_count(probe_count)
     s = math.sinh(channel.squeezing_r) ** 2
     x = math.sin(2.0 * theta) ** 2
     qfi = 8.0 * s / (1.0 + s * x) * (math.cos(2.0 * theta) ** 2 + (1.0 + s) * x / (2.0 + s * x))

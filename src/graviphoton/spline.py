@@ -105,17 +105,11 @@ def _cyclic_reduction(rows, diag):
     even[2:] /= de
 
 
-def evaluate(x, c, t, piece=None):
-    """Spline values at ``t``: zero outside ``[x[0], x[-1]]`` and at NaN.
-
-    ``piece`` (broadcastable to ``t``) names the piece each point lies in,
-    as ``np.searchsorted(x[1:-1], t, side="right")`` would; a caller that
-    knows it for a whole block of points saves the search per point.
-    """
+def evaluate(x, c, t):
+    """Spline values at ``t``: zero outside ``[x[0], x[-1]]`` and at NaN."""
     t = np.asarray(t, dtype=float)
     s = np.atleast_1d(t)
-    if piece is None:
-        piece = np.searchsorted(x[1:-1], s, side="right")
+    piece = np.searchsorted(x[1:-1], s, side="right")
     outside = ~((s >= x[0]) & (s <= x[-1]))
     # updated in place: every fresh array of the size of t costs as much
     # as a pass of Horner's rule

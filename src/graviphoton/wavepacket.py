@@ -7,18 +7,17 @@ observers with frequency factor ``chi`` acts as
     F'(omega) = chi * F(chi**2 * omega)
 
 which preserves the L2 norm exactly.  Overlaps between amplitudes are plain
-L2 inner products, ``<F, G> = integral conj(F(w)) G(w) dw``: in closed form
-for two Gaussians and for two tabulated profiles (whose cubic splines,
+L2 inner products, ``<F, G> = integral conj(F(w)) G(w) dw``, all in closed
+form: for two Gaussians, for two tabulated profiles (whose cubic splines,
 fitted by :mod:`graviphoton.spline`, multiply to a degree six polynomial
-between nodes), and by a nested four/seven point Gauss rule per panel,
-with a checked error estimate, for a Gaussian with a tabulated profile.
+between nodes), and for a Gaussian with a tabulated profile (a cubic times a
+Gaussian integrates to error functions and exponentials on each piece).
 Only tabulated profiles use numpy, which loads on their first use.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,10 +29,9 @@ from .spacetime import RedshiftFactor
 np = NumpyOnFirstUse(globals())
 
 NORM_TOL = 1e-9
-QUAD_ABS_TOL = 1e-10
 QUAD_EVAL_BUDGET = 2**20
-# Half width of the integration window of a Gaussian, in units of sigma.
-# The neglected tail mass is below 1e-30 of the norm.
+# Half width of the support of a Gaussian, in units of sigma.  The
+# neglected tail mass is below 1e-30 of the norm.
 _SUPPORT_SIGMAS = 12.0
 # A Gaussian amplitude must satisfy omega0/sigma > this ratio so that the
 # negative-frequency tail stays below 1e-14 of the norm.
@@ -88,10 +86,6 @@ class GaussianProfile:
         amp = (math.pi * self.sigma_rad_s**2) ** (-0.25) * np.exp(-0.5 * x * x)
         return amp * np.exp(1j * self.phase_rad)
 
-    def support(self):
-        lo = max(0.0, self.omega0_rad_s - _SUPPORT_SIGMAS * self.sigma_rad_s)
-        return (lo, self.omega0_rad_s + _SUPPORT_SIGMAS * self.sigma_rad_s)
-
 
 class SampledGridProfile:
     """Spectral amplitude tabulated on a strictly increasing frequency grid.
@@ -130,8 +124,10 @@ class SampledGridProfile:
         """Build a profile from raw samples, rescaling to unit norm."""
         omega, amp = _check_samples(omega_rad_s, amplitude, phase_rad)
         du = omega - omega[0]
-        # bring arbitrary sample scales near unit norm first, so the squares
-        # in the norm integral neither overflow nor lose digits to underflow
+        # an exact power of two takes the largest part to [0.5, 1), and a rough norm
+        # then near unit norm, so no square in a norm overflows or underflows
+        parts = amp.view(float)
+        amp = np.ldexp(parts, -math.frexp(float(np.abs(parts).max()))[1]).view(complex)
         rough = math.sqrt(float(np.trapezoid(np.abs(amp) ** 2, du)))
         if rough <= 0.0 or not math.isfinite(rough):
             raise DomainError("samples have no usable L2 norm")
@@ -182,11 +178,7 @@ class SampledGridProfile:
         return out if out.shape else complex(out)
 
     def amplitude_at_offset(self, ref, u):
-        return self._amplitude((ref - self._base) + np.asarray(u, dtype=float))
-
-    def _amplitude(self, t, piece=None):
-        """Values at spline offsets ``t``; ``piece`` as in ``spline.evaluate``."""
-        vals = spline.evaluate(self._du, self._c, t, piece)
+        vals = spline.evaluate(self._du, self._c, (ref - self._base) + np.asarray(u, dtype=float))
         vals *= cmath.exp(1j * self.phase_rad)
         return vals
 
@@ -197,7 +189,7 @@ class SampledGridProfile:
 def _check_samples(omega_rad_s, amplitude, phase_rad):
     """Grid nodes and amplitudes as arrays, after the checks on outside input."""
     omega = np.asarray(omega_rad_s, dtype=float)
-    amp = np.asarray(amplitude, dtype=complex)
+    amp = np.ascontiguousarray(amplitude, dtype=complex)
     if omega.ndim != 1 or omega.size < 4:
         raise DomainError("frequency grid must be one dimensional with >= 4 nodes")
     if amp.shape != omega.shape:
@@ -223,73 +215,73 @@ def _check_budget(nevals):
         )
 
 
-def _check_quadrature(err):
-    if err > QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"integration error estimate {err:.3e} exceeds tolerance {QUAD_ABS_TOL:g}"
-        )
+def _erf_difference(u, v):
+    """``erf(v) - erf(u)``, ``u <= v``; from ``erfc`` if both lie on one side of 0."""
+    if u >= 0.0:
+        return math.erfc(u) - math.erfc(v)
+    if v <= 0.0:
+        return math.erfc(-v) - math.erfc(-u)
+    return math.erf(v) - math.erf(u)
 
 
-@functools.cache
-def _nested_rule():
-    """Nodes and weights of the 4 and the 7 point Gauss-Legendre rules, joined."""
-    rules = [np.polynomial.legendre.leggauss(n) for n in (4, 7)]
-    return tuple(np.concatenate(parts) for parts in zip(*rules))
+def _gaussian_moments(a, h):
+    """Rows ``J_k = integral_0^h s^k exp(-(s + a)^2 / 2) ds``, k = 0..3.
 
-
-def _panel_edges(profiles, ref, lo, hi):
-    """Subdivision of ``[lo, hi]`` aligned with every profile's structure.
-
-    Tabulated profiles contribute their spline nodes, so between consecutive
-    edges each spline factor is a single cubic piece.  Analytic profiles
-    contribute a half-width lattice around their carrier so the peak is
-    resolved.  All coordinates are offsets from ``ref``.  The evaluation
-    count, 11 per panel, meets the budget before a lattice is built.
+    ``J_0`` is a difference of error functions, ``J_1 = e^(-a^2/2) -
+    e^(-(a+h)^2/2) - a J_0`` and ``J_(k+1) = k J_(k-1) - a J_k - h^k
+    e^(-(a+h)^2/2)``, by parts.  Those differences lose digits as ``1/h`` on
+    short pieces, ``(1 + |a|) h < 1``, which sum ``J_k = e^(-a^2/2) h^(k+1)
+    sum_n P_n / (n + k + 1)`` instead, ``P_n = He_n(a) (-h)^n / n!``, until
+    two terms in a row are below rounding.
     """
-    parts = [np.array([lo, hi])]
-    for p in profiles:
-        if isinstance(p, SampledGridProfile):
-            parts.append((p._base - ref) + p._du)
-        else:
-            step = 0.5 * p.sigma_rad_s
-            _check_budget(11 * math.floor((hi - lo) / step))
-            c = p.omega0_rad_s - ref
-            k0 = math.floor((lo - c) / step)
-            k1 = math.ceil((hi - c) / step)
-            parts.append(c + step * np.arange(k0, k1 + 1))
-    edges = np.concatenate(parts)
-    edges = edges[(edges > lo) & (edges < hi)]
-    edges = np.unique(np.concatenate((edges, [lo, hi])))
-    _check_budget(11 * (edges.size - 1))
-    return edges
+    out = np.empty((4, a.size))
+    short = (1.0 + np.abs(a)) * h < 1.0
+    al, hl = a[~short], h[~short]
+    eb = np.exp(-0.5 * (al + hl) ** 2)
+    j0 = np.frompyfunc(_erf_difference, 2, 1)(al / math.sqrt(2.0), (al + hl) / math.sqrt(2.0))
+    j0 = math.sqrt(0.5 * math.pi) * j0.astype(float)
+    j1 = np.exp(-0.5 * al * al) - eb - al * j0
+    j2 = j0 - al * j1 - hl * eb
+    out[:, ~short] = j0, j1, j2, 2.0 * j1 - al * j2 - hl * hl * eb
+    a, h, k1 = a[short], h[short], np.arange(1.0, 5.0)[:, None]
+    sums, p_prev, p, n = np.zeros((4, a.size)), np.zeros_like(a), np.ones_like(a), 0
+    while True:
+        sums += p / (n + k1)
+        if (np.abs(p) + np.abs(p_prev)).max(initial=0.0) < 2.0**-53:
+            break
+        p_prev, p, n = p, -h * (a * p + h * p_prev) / (n + 1), n + 1
+    out[:, short] = np.exp(-0.5 * a * a) * h**k1 * sums
+    return out
 
 
-def _panel_integral(a, b, ref, edges):
-    """Nested four/seven point Gauss-Legendre rules per panel of a mixed pair.
+def _gaussian_grid_overlap(g, p):
+    """``<g, p>`` over the spline pieces inside the Gaussian's support.
 
-    Returns the seven point value and, as its error estimate, the difference
-    of the two.  Both rules are evaluated in one batch of 11 points per
-    panel.  Every node of the tabulated profile is a panel edge, so all
-    points of a panel lie in one spline piece, looked up once per panel.
+    The first and last piece are cut at its edges, the first shifted there
+    by synthetic division.  On a piece from ``x``, with ``a = (x - omega0)/
+    sigma``, ``h = width/sigma`` and ``t = x + sigma s``, the spline is
+    ``sum_k c[3 - k] (sigma s)^k``, which adds ``sum_k c[3 - k] sigma^(k+1)
+    J_k`` (:func:`_gaussian_moments`).  Offsets on ``p``'s grid keep full
+    precision at optical frequencies.
     """
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes, weights = _nested_rule()
-    u = mid[:, None] + half[:, None] * nodes[None, :]
-
-    def amplitude(p):
-        if not isinstance(p, SampledGridProfile):
-            return p.amplitude_at_offset(ref, u)
-        shift = ref - p._base
-        piece = np.searchsorted(p._du[1:-1], shift + mid, side="right")
-        return p._amplitude(shift + u, piece[:, None])
-
-    vals = np.conj(amplitude(a))
-    vals *= amplitude(b)
-    vals *= half[:, None] * weights[None, :]
-    coarse = complex(np.sum(vals[:, :4]))
-    fine = complex(np.sum(vals[:, 4:]))
-    return fine, abs(fine - coarse)
+    sg, mu, x = g.sigma_rad_s, g.omega0_rad_s - p._base, p._du
+    lo, hi = mu - _SUPPORT_SIGMAS * sg, mu + _SUPPORT_SIGMAS * sg
+    first = max(int(np.searchsorted(x, lo, side="right")) - 1, 0)
+    stop = min(int(np.searchsorted(x, hi)), x.size - 1)
+    if first >= stop:
+        return 0j
+    left, right, c = x[first:stop].copy(), x[first + 1 : stop + 1].copy(), p._c[:, first:stop]
+    right[-1] = min(right[-1], hi)
+    if lo > left[0]:
+        c, d, left[0] = c.copy(), lo - left[0], lo
+        for j in (1, 2, 3, 1, 2, 1):
+            c[j, 0] += d * c[j - 1, 0]
+    moments = _gaussian_moments((left - mu) / sg, (right - left) / sg)
+    # sigma^(k+1) of the pieces times (pi sigma^2)^(-1/4) of the amplitude
+    moments *= (sg ** np.arange(0.5, 4.0) / math.pi**0.25)[:, None]
+    # each piece is summed first: its terms may cancel, the pieces' totals less so
+    total = complex(np.vecdot(moments.T, c[::-1].T).sum())
+    return cmath.exp(1j * (p.phase_rad - g.phase_rad)) * total
 
 
 def overlap(a, b) -> complex:
@@ -299,25 +291,21 @@ def overlap(a, b) -> complex:
     ``e^{i(phi_b - phi_a)} sqrt(2 s_a s_b/(s_a^2 + s_b^2))
     exp(-d^2/(2(s_a^2 + s_b^2)))`` with ``d`` the carrier separation; the
     negative-frequency tails it counts are below 1e-14 of the norm by the
-    ``MIN_CARRIER_TO_WIDTH`` guard.  Two tabulated profiles overlap in closed
-    form too: between the nodes of both grids the product of their spline
-    pieces is a degree six polynomial, integrated exactly by
-    :func:`graviphoton.spline.overlap`, with no error estimate.  A Gaussian
-    and a tabulated profile are integrated over the intersection of their
-    supports (``0j`` where they are disjoint), panel by panel between the
-    spline nodes with a nested four/seven point Gauss rule (11 evaluations
-    per panel), whose difference is the error estimate checked against
-    ``QUAD_ABS_TOL``.  The panel count is checked before any work on the
-    panels: a mixed pair may use up to ``QUAD_EVAL_BUDGET`` evaluations, 11
-    per panel, and two tabulated profiles, which evaluate no point, may span
-    up to ``QUAD_EVAL_BUDGET / 4`` = 262,144 panels (the error message
-    counts them as 4 evaluations each).
+    ``MIN_CARRIER_TO_WIDTH`` guard.  Two tabulated profiles multiply to a
+    degree six polynomial between the nodes of both grids, integrated exactly
+    by :func:`graviphoton.spline.overlap`; they may span up to
+    ``QUAD_EVAL_BUDGET / 4`` = 262,144 panels (the error message counts them
+    as 4 evaluations each), checked before any work.  A Gaussian and a
+    tabulated profile overlap over the spline pieces inside the Gaussian's
+    carrier +- 12 sigma (``0j`` if none), each a cubic times a Gaussian, in
+    error functions and exponentials.  No overlap evaluates a point.
 
     Raises
     ------
+    DomainError
+        If an argument is neither a Gaussian nor a tabulated profile.
     QuadratureError
-        If a tabulated overlap exceeds its panel limit or evaluation
-        budget, or a mixed one cannot meet the error estimate.
+        If a tabulated overlap exceeds its panel limit.
     """
     if isinstance(a, GaussianProfile) and isinstance(b, GaussianProfile):
         sa, sb = a.sigma_rad_s, b.sigma_rad_s
@@ -336,19 +324,12 @@ def overlap(a, b) -> complex:
             _check_budget(4 * (np.union1d(a._du, xb).size - 1))
         phase = cmath.exp(1j * (b.phase_rad - a.phase_rad))
         return phase * spline.overlap(a._du, a._c, xb, b._c)
-    # only the intersection of the supports counts: a tabulated amplitude is
-    # zero off its grid, a Gaussian below e^-72 of its peak off its support.
-    # Quadrature runs in the offset u = omega - ref, so node placement is not
-    # limited by the ULP of the absolute optical frequency.
-    lo = max(a.support()[0], b.support()[0])
-    hi = min(a.support()[1], b.support()[1])
-    if lo >= hi:
-        return 0j
-    ref = 0.5 * (lo + hi)
-    edges = _panel_edges((a, b), ref, lo - ref, hi - ref)
-    val, err = _panel_integral(a, b, ref, edges)
-    _check_quadrature(err)
-    return val
+    if isinstance(a, GaussianProfile) and isinstance(b, SampledGridProfile):
+        return _gaussian_grid_overlap(a, b)
+    if isinstance(a, SampledGridProfile) and isinstance(b, GaussianProfile):
+        return _gaussian_grid_overlap(b, a).conjugate()
+    odd = b if isinstance(a, (GaussianProfile, SampledGridProfile)) else a
+    raise DomainError(f"unsupported profile type {type(odd).__name__!r}")
 
 
 def l2_norm(profile) -> float:

@@ -150,3 +150,34 @@ def piecewise_cubic_overlap(xa, ca, xb, cb):
             for k, v in enumerate(pb):
                 total += mp.conj(u) * v * h ** (j + k + 1) / (j + k + 1)
     return total
+
+
+def gaussian_spline_overlap(omega0, sigma, x, c):
+    """``integral g(t) S(t) dt`` of a piecewise cubic ``S`` and the unit-norm
+    Gaussian ``g(t) = (pi sigma^2)^(-1/4) exp(-(t - omega0)^2 / (2 sigma^2))``.
+
+    ``x`` and ``c`` are in the layout of a scipy ``PPoly``, as in
+    :func:`piecewise_cubic_overlap`, and every piece counts, however far out
+    in the Gaussian's tail.  Each piece is expanded about the Gaussian's peak:
+    with ``u = (t - omega0)/sigma`` and ``a = (x[i] - omega0)/sigma``,
+    ``(t - x[i])^p = sigma^p (u - a)^p`` expands in powers of ``u``, and the
+    moments ``M_l = integral u^l exp(-u^2/2) du`` over the piece follow from
+    ``M_0`` in error functions and ``M_(l+1) = l M_(l-1) - [u^l exp(-u^2/2)]``.
+    Float inputs are taken as exact binary values.
+    """
+    mu, sg = mp.mpf(float(omega0)), mp.mpf(float(sigma))
+    xs = [mp.mpf(float(v)) for v in x]
+    total = mp.mpc(0)
+    for i in range(len(xs) - 1):
+        a, b = (xs[i] - mu) / sg, (xs[i + 1] - mu) / sg
+        ends = [mp.exp(-(a**2) / 2), mp.exp(-(b**2) / 2)]
+        moments = [mp.sqrt(mp.pi / 2) * (mp.erf(b / mp.sqrt(2)) - mp.erf(a / mp.sqrt(2)))]
+        for l in range(3):
+            prev = l * moments[l - 1] if l else 0
+            moments.append(prev + a**l * ends[0] - b**l * ends[1])
+        for m in range(4):
+            p = 3 - m
+            cm = mp.mpc(complex(c[m, i]))
+            for l in range(p + 1):
+                total += cm * sg ** (p + 1) * mp.binomial(p, l) * (-a) ** (p - l) * moments[l]
+    return total / mp.root(mp.pi * sg**2, 4)

@@ -1,11 +1,14 @@
 """Modules of the package use each other only through public names, no
 module imports scipy or a process pool, and importing the package or
 running the CLI on Gaussian or tabulated-photon configs loads neither.
-numpy loads on first use: a Gaussian run never loads it."""
+numpy loads on first use: a Gaussian run never loads it.  Every constant
+the README names exists in the package."""
 
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +39,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(modules) > 5
     found = [line for path in modules for line in _private_imports(path)]
     assert found == []
+
+
+def test_readme_constants_are_package_attributes():
+    # a constant the README names, such as a tolerance or a limit, must exist
+    # in some module, so a renamed or retired one cannot linger in the docs
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # two or more capitals before the first underscore: `J_0` is maths, not a name
+    names = set(re.findall(r"`([A-Z][A-Z0-9]+(?:_[A-Z0-9]+)+)\b", text))
+    stems = [p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    modules = [graviphoton] + [importlib.import_module(f"graviphoton.{stem}") for stem in stems]
+    assert names >= {"NORM_TOL", "QUAD_EVAL_BUDGET"}
+    assert sorted(n for n in names if not any(hasattr(m, n) for m in modules)) == []
 
 
 def test_only_the_cli_defines_table_columns():

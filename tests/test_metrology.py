@@ -180,6 +180,18 @@ def test_probe_count_scales_the_bound():
     assert many.cramer_rao_bound == pytest.approx(one.cramer_rao_bound / 25.0, rel=1e-15)
 
 
+def test_reports_store_the_checked_probe_count():
+    # an integer-like probe count is stored as the int the bound was taken with
+    channel = SensingChannel(0.3)
+    _, tap = build_sensing_channel(channel)
+    for rep in (
+        sensing_qfi(channel, 0.1, probe_count=np.int64(2)),
+        qfi_finite_difference(lambda th: tap(th), 0.1, probe_count=np.int64(2)),
+    ):
+        assert type(rep.probe_count) is int and rep.probe_count == 2
+        assert rep.cramer_rao_bound == 1.0 / (2 * rep.qfi)
+
+
 def test_estimation_report_is_frozen():
     rep = EstimationReport(theta=0.1, qfi=1.0, cramer_rao_bound=1.0, probe_count=1)
     with pytest.raises(AttributeError):

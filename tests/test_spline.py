@@ -64,8 +64,6 @@ def test_evaluate_at_nodes_ends_outside_and_nan():
     t = rng.uniform(x[0], x[-1], 500)
     want = CubicSpline(x, y)(t)
     assert np.max(np.abs(spline.evaluate(x, c, t) - want)) <= 1e-14 * np.max(np.abs(want))
-    piece = np.searchsorted(x[1:-1], t, side="right")
-    assert np.array_equal(spline.evaluate(x, c, t, piece), spline.evaluate(x, c, t))
     off = np.array([x[0] - 1e-9, x[-1] + 1e-9, -np.inf, np.inf, np.nan])
     assert np.array_equal(spline.evaluate(x, c, off), np.zeros(5, dtype=complex))
     assert spline.evaluate(x, c, np.nan) == 0.0

@@ -70,19 +70,15 @@ def reference_overlap(a, b):
 
 
 def record_calls(monkeypatch):
-    """List that collects ``(profile, point count)`` per amplitude evaluation.
-
-    A Gaussian is counted in ``amplitude_at_offset(ref, u)``; a tabulated
-    profile in ``_amplitude(t, ...)``, where all its evaluations end up.
-    """
+    """List that collects ``(profile, point count)`` per amplitude evaluation,
+    counted in ``amplitude_at_offset(ref, u)``, where every evaluation ends up."""
     calls = []
-    hooks = ((GaussianProfile, "amplitude_at_offset", 1), (SampledGridProfile, "_amplitude", 0))
-    for cls, name, at in hooks:
-        def counted(profile, *args, _method=getattr(cls, name), _at=at):
-            calls.append((profile, np.size(args[_at])))
-            return _method(profile, *args)
+    for cls in (GaussianProfile, SampledGridProfile):
+        def counted(profile, ref, u, _method=cls.amplitude_at_offset):
+            calls.append((profile, np.size(u)))
+            return _method(profile, ref, u)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(cls, "amplitude_at_offset", counted)
     return calls
 
 
@@ -295,31 +291,24 @@ def test_grid_overlap_evaluation_counts(monkeypatch):
     f = GaussianProfile(0.5 * (lo + hi), 0.1 * (hi - lo))
     calls = record_calls(monkeypatch)
     closed = record_closed_forms(monkeypatch)
-    # grid-grid pairs and grid norms are closed form: no point is evaluated
+    # every overlap is closed form: no point is evaluated, and only the
+    # grid-grid pair and the grid norm integrate two splines
     overlap(a, b)
     l2_norm(a)
+    overlap(f, g)
+    overlap(g, f)
     assert calls == []
     assert len(closed) == 2
-    # mixed: the nested four/seven point pair, 11 evaluations per panel
-    overlap(f, g)
-    assert len(closed) == 2
-    panels = calls[0][1] // 11
-    assert panels > 100
-    assert calls == [(f, 11 * panels), (g, 11 * panels)]
 
 
 def test_evaluation_budget_is_checked_before_evaluating(monkeypatch):
     g = exact_grid(100, OPTICAL, 8.0, seed=6)
-    lo, hi = g.support()
-    f = GaussianProfile(0.5 * (lo + hi), 0.1 * (hi - lo))
     calls = record_calls(monkeypatch)
     closed = record_closed_forms(monkeypatch)
     # a grid-grid panel counts as the four evaluations of an exact Gauss rule
     monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 99 - 1)
     with pytest.raises(QuadratureError, match="needs 396 evaluations"):
         l2_norm(g)
-    with pytest.raises(QuadratureError):
-        overlap(f, g)
     with pytest.raises(QuadratureError):
         SampledGridProfile.from_samples(g.omega_rad_s, g.amplitude)
     assert calls == []
@@ -334,7 +323,7 @@ def dense_mixed_reference(f, g):
     """``<f, g>`` of a Gaussian and a grid: a refitted scipy spline times the
     Gaussian, with 20 Gauss points on every panel between the spline nodes
     and a sigma/4 lattice over the Gaussian's +-12 sigma, independent of the
-    package's panels and lookups."""
+    package's closed form."""
     origin = g.omega_rad_s[0]
     s = CubicSpline(g.omega_rad_s - origin, g.amplitude)
     lattice = (f.omega0_rad_s - origin) + f.sigma_rad_s * np.arange(-48, 49) / 4.0
@@ -359,8 +348,8 @@ def test_mixed_overlap_against_dense_reference(width):
 
 
 def test_mixed_overlap_runs_over_the_intersection_of_supports():
-    # a Gaussian 1e-4 of a 16 sigma grid's sigma wide needs a few dozen
-    # panels over its own support, not 320,000 over the grid's
+    # a Gaussian 1e-4 of a 16 sigma grid's sigma wide: only the one spline
+    # piece it lies in counts, cut to the Gaussian's own support
     g = exact_grid(401, OPTICAL, 8.0, seed=12, phase=0.4)
     lo, hi = g.support()
     f = GaussianProfile(lo + 0.45 * (hi - lo), (hi - lo) / 16e4, -0.3)
@@ -371,23 +360,91 @@ def test_mixed_overlap_runs_over_the_intersection_of_supports():
 
 
 def test_mixed_overlap_of_disjoint_supports_is_zero():
-    # 1e5 sigma apart: no panel is integrated, however wide the gap
+    # 1e5 sigma apart: no spline piece counts, however wide the gap
     g = sampled_gaussian(W0, SIG, n=401)
     f = GaussianProfile(W0 + 1e5 * SIG, SIG)
     assert overlap(f, g) == 0j
     assert overlap(g, f) == 0j
 
 
-def test_mixed_overlap_checks_its_error_estimate(monkeypatch):
-    # the nested rule's difference is checked against QUAD_ABS_TOL: a
-    # tolerance no estimate can meet turns a good overlap into an error
-    g = exact_grid(100, OPTICAL, 8.0, seed=7)
+def mixed_reference(f, g):
+    """``<f, g>`` of a Gaussian and a grid at 60 digits: the Gaussian times a
+    scipy spline refitted to the grid's public samples, integrated over every
+    piece in closed form.  The grid's nodes and the carrier must be exact
+    offsets from the first node, as on :func:`exact_grid` near ``OPTICAL``."""
+    origin = g.omega_rad_s[0]
+    mu = f.omega0_rad_s - origin
+    assert math.fsum([f.omega0_rad_s, -origin, -mu]) == 0.0
+    s = CubicSpline(g.omega_rad_s - origin, g.amplitude)
+    val = hp.gaussian_spline_overlap(mu, f.sigma_rad_s, s.x, s.c)
+    return complex(val * hp.mp.expj(hp.mp.mpf(g.phase_rad) - hp.mp.mpf(f.phase_rad)))
+
+
+def piece_kinds(f, g):
+    """Which closed form each spline piece inside the Gaussian's +-12 sigma
+    takes: the series on short pieces, ``(1 + |a|) h < 1``, else the
+    recursion from erfc on one side of the carrier or from erf across it."""
+    x = (g.omega_rad_s - f.omega0_rad_s) / f.sigma_rad_s
+    a, b = x[:-1], x[1:]
+    inside = (b > -12.0) & (a < 12.0)
+    a, b = np.maximum(a[inside], -12.0), np.minimum(b[inside], 12.0)
+    short = (1.0 + np.abs(a)) * (b - a) < 1.0
+    kinds = np.where(short, "series", np.where(a >= 0.0, "right", np.where(b <= 0.0, "left", "across")))
+    return set(kinds.tolist()), int(inside.sum()), float(np.abs(a).max(initial=0.0))
+
+
+def mixed_case(name):
+    """A Gaussian and a grid for one closed-form route of the mixed overlap."""
+    if name.startswith("tail"):
+        # the grid spans 9 to 12 sigma on one side of the carrier, in long pieces
+        g = exact_grid(20, OPTICAL, 8.0, seed=13, phase=0.4)
+        lo, hi = g.support()
+        sigma = (hi - lo) / 3.0
+        w0 = lo - 9.0 * sigma if name == "tail-right" else hi + 9.0 * sigma
+        return GaussianProfile(w0, sigma, -0.3), g
+    n, width = {"erf-and-both-erfc": (100, 0.01), "series-and-recursion": (100, 0.05),
+                "narrower-than-a-piece": (401, 1.0 / 16e4)}[name]
+    g = exact_grid(n, OPTICAL, 8.0, seed=11, phase=0.4)
     lo, hi = g.support()
-    f = GaussianProfile(0.5 * (lo + hi), 0.1 * (hi - lo))
-    assert abs(overlap(f, g)) <= 1.0 + 1e-10
-    monkeypatch.setattr(wavepacket, "QUAD_ABS_TOL", 1e-300)
-    with pytest.raises(QuadratureError, match="error estimate"):
-        overlap(f, g)
+    return GaussianProfile(lo + 0.45 * (hi - lo), width * (hi - lo), -0.3), g
+
+
+@pytest.mark.parametrize(
+    "name, kinds",
+    [
+        ("erf-and-both-erfc", {"left", "across", "right"}),
+        ("series-and-recursion", {"series", "left", "right"}),
+        ("narrower-than-a-piece", {"across"}),
+        ("tail-right", {"right"}),
+        ("tail-left", {"left"}),
+    ],
+)
+def test_mixed_overlap_against_sixty_digit_reference(name, kinds):
+    f, g = mixed_case(name)
+    found, pieces, reach = piece_kinds(f, g)
+    assert kinds <= found
+    if name == "narrower-than-a-piece":
+        assert pieces == 1
+    ref = mixed_reference(f, g)
+    # relative to |ref|, which is below 1 as both profiles have unit norm;
+    # on long pieces 9 to 12 sigma out, where |ref| is near 2e-22, the
+    # recursion keeps its absolute error, near 1e-31, but not its relative one
+    bound = 1e-14 * abs(ref)
+    if name.startswith("tail"):
+        assert reach > 11.5 and abs(ref) < 1e-20
+        bound = 1e-8 * abs(ref)
+    assert abs(overlap(f, g) - ref) <= bound
+    assert abs(overlap(g, f) - ref.conjugate()) <= bound
+
+
+@pytest.mark.parametrize("other", [object(), None, 1.0], ids=["object", "None", "float"])
+def test_overlap_refuses_unsupported_profiles(other):
+    name = type(other).__name__
+    for profile in (GaussianProfile(W0, SIG), sampled_gaussian(W0, SIG, n=64)):
+        with pytest.raises(DomainError, match=f"unsupported profile type '{name}'"):
+            overlap(profile, other)
+        with pytest.raises(DomainError, match=f"unsupported profile type '{name}'"):
+            overlap(other, profile)
 
 
 def test_grid_matches_analytic_gaussian():
@@ -414,6 +471,23 @@ def test_grid_profile_validation():
         SampledGridProfile.from_samples(w - 5e3, amp)
     with pytest.raises(DomainError):
         SampledGridProfile.from_samples(w, np.full(8, np.nan))
+
+
+def test_from_samples_normalizes_samples_of_any_finite_scale():
+    # the rough norm squares the samples: scaled first by a power of two,
+    # they neither overflow nor underflow there, at no cost in digits
+    w = exact_grid(200, OPTICAL, 8.0, seed=14).omega_rad_s
+    amp = np.exp(-0.5 * np.linspace(-4.0, 4.0, 200) ** 2 + 0.3j * np.linspace(-4.0, 4.0, 200))
+    g = SampledGridProfile.from_samples(w, amp)
+    t = np.random.default_rng(15).uniform(w[0], w[-1], 500)
+    for scale in (2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000):
+        out = SampledGridProfile.from_samples(w, amp * scale)
+        assert np.array_equal(out.amplitude, g.amplitude)
+        assert np.array_equal(out(t), g(t))
+    for scale in (1e150, 1e-170):
+        out = SampledGridProfile.from_samples(w, amp * scale)
+        assert np.max(np.abs(out.amplitude - g.amplitude)) <= 4 * 2.0**-52 * np.max(np.abs(amp))
+        assert abs(l2_norm(out) - 1.0) <= 1e-15
 
 
 def test_grid_profile_rejects_unnormalized_direct_input():
