@@ -48,8 +48,8 @@ from .protocols import (
     LinkScenario,
     check_sigma_grid,
     check_sweep_profile,
+    check_sweep_widths,
     qber_bandwidth_sweep,
-    sweep_profiles,
 )
 from .spacetime import (
     ObserverPath,
@@ -310,7 +310,7 @@ def collect_violations(cfg: dict, task: str) -> tuple[dict, list]:
     if task == "qber-sweep" and "photon" in plan:
         swept = _attempt(found, "photon", check_sweep_profile, plan["photon"])
         if swept is not None and "sweep" in plan:
-            _attempt(found, "sweep", sweep_profiles, swept, plan["sweep"])
+            _attempt(found, "sweep", check_sweep_widths, swept, plan["sweep"])
     if link and not found:
         plan["redshift"] = redshift_between(plan["body"], plan["emitter"], plan["receiver"])
     return plan, found

@@ -116,6 +116,9 @@ class RedshiftFactor:
         chi = float(self.chi)
         if not math.isfinite(chi) or chi <= 0.0:
             raise DomainError(f"chi must be finite and positive, got {chi!r}")
+        # frequencies are divided by chi**2: it must neither vanish nor overflow
+        if not 0.0 < chi * chi < math.inf:
+            raise DomainError(f"chi**2 must be finite and nonzero, got chi = {chi!r}")
         object.__setattr__(self, "chi", chi)
 
     @property

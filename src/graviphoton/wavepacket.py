@@ -36,6 +36,35 @@ _SUPPORT_SIGMAS = 12.0
 # A Gaussian amplitude must satisfy omega0/sigma > this ratio so that the
 # negative-frequency tail stays below 1e-14 of the norm.
 MIN_CARRIER_TO_WIDTH = 8.0
+# Narrowest Gaussian width, in rad/s: the product of two widths stays a normal
+# float, so the overlap's 2 s_a s_b / (s_a^2 + s_b^2) keeps its digits.
+MIN_WIDTH_RAD_S = 1e-150
+
+
+def check_gaussian(omega0_rad_s: float, sigma_rad_s: float, phase_rad: float = 0.0) -> None:
+    """Raise DomainError unless a Gaussian amplitude may take these floats.
+
+    The one rule of :class:`GaussianProfile`, of its image under a redshift
+    and of each width a bandwidth sweep takes.
+    """
+    w0, sg = omega0_rad_s, sigma_rad_s
+    # chained comparisons are false for NaN
+    if not 0.0 < w0 < math.inf:
+        raise DomainError(f"omega0_rad_s must be finite and positive, got {w0!r}")
+    if not 0.0 < sg < math.inf:
+        raise DomainError(f"sigma_rad_s must be finite and positive, got {sg!r}")
+    if not -math.inf < phase_rad < math.inf:
+        raise DomainError(f"phase_rad must be finite, got {phase_rad!r}")
+    if w0 / sg <= MIN_CARRIER_TO_WIDTH:
+        raise DomainError(
+            f"carrier to width ratio omega0/sigma = {w0 / sg:.3f} is too small; "
+            f"require > {MIN_CARRIER_TO_WIDTH:g} so the amplitude is negligible "
+            "at negative frequencies"
+        )
+    if sg < MIN_WIDTH_RAD_S:
+        raise DomainError(
+            f"sigma_rad_s = {sg!r} is below the narrowest width {MIN_WIDTH_RAD_S:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -57,18 +86,7 @@ class GaussianProfile:
     def __post_init__(self):
         w0, sg = float(self.omega0_rad_s), float(self.sigma_rad_s)
         ph = float(self.phase_rad)
-        if not math.isfinite(w0) or w0 <= 0.0:
-            raise DomainError(f"omega0_rad_s must be finite and positive, got {w0!r}")
-        if not math.isfinite(sg) or sg <= 0.0:
-            raise DomainError(f"sigma_rad_s must be finite and positive, got {sg!r}")
-        if not math.isfinite(ph):
-            raise DomainError(f"phase_rad must be finite, got {ph!r}")
-        if w0 / sg <= MIN_CARRIER_TO_WIDTH:
-            raise DomainError(
-                f"carrier to width ratio omega0/sigma = {w0 / sg:.3f} is too small; "
-                f"require > {MIN_CARRIER_TO_WIDTH:g} so the amplitude is negligible "
-                "at negative frequencies"
-            )
+        check_gaussian(w0, sg, ph)
         object.__setattr__(self, "omega0_rad_s", w0)
         object.__setattr__(self, "sigma_rad_s", sg)
         object.__setattr__(self, "phase_rad", ph)
@@ -284,6 +302,12 @@ def _gaussian_grid_overlap(g, p):
     return cmath.exp(1j * (p.phase_rad - g.phase_rad)) * total
 
 
+def _gaussian_overlap(sa, sb, d):
+    """``|<a, b>|`` of two Gaussians of widths ``sa``, ``sb`` and carriers ``d`` apart."""
+    s2 = sa * sa + sb * sb
+    return math.sqrt(2.0 * sa * sb / s2) * math.exp(-d * d / (2.0 * s2))
+
+
 def overlap(a, b) -> complex:
     """L2 inner product ``<a, b>`` over non-negative frequencies.
 
@@ -308,10 +332,7 @@ def overlap(a, b) -> complex:
         If a tabulated overlap exceeds its panel limit.
     """
     if isinstance(a, GaussianProfile) and isinstance(b, GaussianProfile):
-        sa, sb = a.sigma_rad_s, b.sigma_rad_s
-        s2 = sa * sa + sb * sb
-        d = a.omega0_rad_s - b.omega0_rad_s
-        mag = math.sqrt(2.0 * sa * sb / s2) * math.exp(-d * d / (2.0 * s2))
+        mag = _gaussian_overlap(a.sigma_rad_s, b.sigma_rad_s, a.omega0_rad_s - b.omega0_rad_s)
         return cmath.exp(1j * (b.phase_rad - a.phase_rad)) * mag
     if isinstance(a, SampledGridProfile) and isinstance(b, SampledGridProfile):
         if b is a:
@@ -350,12 +371,30 @@ def redshift_transform(profile, chi):
         return profile
     c2 = c * c
     if isinstance(profile, GaussianProfile):
-        return GaussianProfile(
-            profile.omega0_rad_s / c2, profile.sigma_rad_s / c2, profile.phase_rad
-        )
+        image = _gaussian_image(profile.omega0_rad_s, profile.sigma_rad_s, c2)
+        return GaussianProfile(*image, profile.phase_rad)
     if isinstance(profile, SampledGridProfile):
         return SampledGridProfile._rescaled(profile, c2)
     raise DomainError(f"unsupported profile type {type(profile).__name__!r}")
+
+
+def _gaussian_image(omega0, sigma, c2):
+    """Carrier and width of a Gaussian's image under ``chi**2 = c2``."""
+    return omega0 / c2, sigma / c2
+
+
+def gaussian_redshift_overlap(omega0_rad_s, sigma_rad_s, chi_squared) -> float:
+    """``|<F, U_chi F>|`` of a Gaussian ``F`` under ``chi**2 = chi_squared``, no profile built.
+
+    Floats meeting :func:`check_gaussian` in, and out, for ``chi_squared !=
+    1``, ``abs(overlap(p, redshift_transform(p, chi)))`` bit for bit, or its
+    error, for ``p = GaussianProfile(omega0_rad_s, sigma_rad_s, phase)``.
+    """
+    if chi_squared == 1.0:
+        return 1.0
+    w1, s1 = _gaussian_image(omega0_rad_s, sigma_rad_s, chi_squared)
+    check_gaussian(w1, s1)
+    return _gaussian_overlap(sigma_rad_s, s1, omega0_rad_s - w1)
 
 
 def mixing_angle(overlap_value: complex):

@@ -260,6 +260,50 @@ def test_domain_failure_exits_three(tmp_path, capsys):
     assert json.loads(err)["error"] == "HorizonError"
 
 
+def test_tiny_gaussian_width_exits_three(tmp_path, capsys):
+    # these widths crashed both commands with ZeroDivisionError, exit 1
+    cfg = json.loads((Path(__file__).parent / "golden" / "overlap.json").read_text())
+    cfg["photon"].update(omega0_rad_s=1e-160, sigma_rad_s=1e-170)
+    path = write_config(tmp_path, cfg)
+    code, out, err = run_cli(capsys, ["validate", path])
+    message = "sigma_rad_s = 1e-170 is below the narrowest width 1e-150"
+    assert (code, out) == (3, f"photon: DomainError: {message}\n")
+    assert err == "task=overlap violations=1\n"
+    code, out, err = run_cli(capsys, ["run", path])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "DomainError", "message": message}
+
+
+def test_validate_and_run_agree_on_sweep_widths(tmp_path, capsys):
+    def ratio_message(omega0, sigma):
+        return (
+            f"carrier to width ratio omega0/sigma = {omega0 / sigma:.3f} is too small; "
+            "require > 8 so the amplitude is negligible at negative frequencies"
+        )
+
+    beyond = config_for("qber-sweep")
+    beyond["photon"] = {"kind": "gaussian", "omega0_rad_s": 1000.0, "sigma_rad_s": 10.0}
+    beyond["sweep"]["sigma_rad_s"] = [10.0, 200.0]
+    last = config_for("qber-sweep")
+    last["sweep"]["sigma_rad_s"] = [SIG, 2.0 * SIG, 4.0 * SIG, W0 / 8.0]
+    narrow = config_for("qber-sweep")
+    narrow["sweep"]["sigma_rad_s"] = [1e-151, SIG]
+    floor = "sigma_rad_s = 1e-151 is below the narrowest width 1e-150"
+    corpus = [
+        ("d-sweep-width-beyond-carrier", beyond, ratio_message(1000.0, 200.0)),
+        ("last-sweep-width-beyond-carrier", last, ratio_message(W0, W0 / 8.0)),
+        ("sweep-width-below-floor", narrow, floor),
+    ]
+    for name, cfg, message in corpus:
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        code, out, err = run_cli(capsys, ["validate", path])
+        assert code == 3, name
+        assert out.splitlines()[0] == f"sweep: DomainError: {message}", name
+        code, out, err = run_cli(capsys, ["run", path])
+        assert (code, out) == (3, ""), name
+        assert json.loads(err) == {"error": "DomainError", "message": message}, name
+
+
 def test_validate_clean_config(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, ["validate", write_config(tmp_path, config_for("qber-sweep"))]

@@ -2,7 +2,8 @@
 module imports scipy or a process pool, and importing the package or
 running the CLI on Gaussian or tabulated-photon configs loads neither.
 numpy loads on first use: a Gaussian run never loads it.  Every constant
-the README names exists in the package."""
+the README names exists in the package, and the set of modules the package
+imports is pinned."""
 
 import ast
 import importlib
@@ -144,6 +145,26 @@ def test_no_module_imports_scipy():
     # nor a process pool: every table is computed in the calling process
     found = {imp for path in sorted(PACKAGE.glob("*.py")) for imp in _banned_imports(path)}
     assert found == set()
+
+
+# Every top-level module the package imports, anywhere in its source.  The
+# import set moves cold start and the benchmark's calibration kernel: a new
+# entry is a deliberate edit here, with its reason in CHANGES.md.
+IMPORT_SURFACE = {
+    "__future__", "argparse", "cmath", "dataclasses", "functools", "json",
+    "logging", "math", "numpy", "operator", "sys", "time",
+}
+
+
+def test_import_surface_is_pinned():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert found == IMPORT_SURFACE
 
 
 def _child(probe, *args):

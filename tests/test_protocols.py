@@ -16,6 +16,7 @@ from graviphoton import (
     SchwarzschildGeometry,
     interference_qber,
     link_redshift,
+    overlap,
     qber_at_chi,
     qber_bandwidth_sweep,
     redshift_static_orbit,
@@ -23,6 +24,7 @@ from graviphoton import (
     redshift_static_static,
 )
 from graviphoton.constants import EARTH_MASS_KG, EARTH_RADIUS_M
+from graviphoton import wavepacket
 from graviphoton.wavepacket import SampledGridProfile
 
 W0 = 2.0 * math.pi * 4.3e14
@@ -36,6 +38,24 @@ PHOTON = GaussianProfile(W0, SIG)
 
 def leo_scenario(profile=PHOTON):
     return LinkScenario(EARTH, GROUND, LEO, profile)
+
+
+# receivers of the benchmark's five links; the emitter hovers at the surface
+BENCH_RECEIVERS = (
+    ObserverPath("static", EARTH_RADIUS_M + 1.0),
+    ObserverPath("static", EARTH_RADIUS_M + 1.0e3),
+    LEO,
+    ObserverPath("orbit", EARTH_RADIUS_M + 4.0e5),
+    ObserverPath("orbit", 4.2164e7),
+)
+
+
+def object_path_report(sigma, chi, efficiency, phase):
+    """The report of one width through the public profile objects."""
+    p = GaussianProfile(W0, sigma, phase)
+    magnitude = min(abs(overlap(p, redshift_transform(p, chi))), 1.0)
+    visibility = efficiency * magnitude**2
+    return QberReport(chi, magnitude, visibility, 0.5 * (1.0 - visibility), efficiency, sigma)
 
 
 def oracle_qber(chi, sigma):
@@ -141,12 +161,64 @@ def test_bandwidth_sweep_rows():
 
 
 def test_bandwidth_sweep_matches_single_point_calls():
-    grid = [SIG, 3.0 * SIG]
-    rows = qber_bandwidth_sweep(leo_scenario(), grid)
-    chi = link_redshift(leo_scenario())
-    for row, sigma in zip(rows, grid):
-        solo = qber_at_chi(GaussianProfile(W0, sigma), chi, sigma_rad_s=sigma)
-        assert row.qber == solo.qber
+    # 12 widths from 2 pi 1e4 to 2 pi 1e7 rad/s and one just inside the carrier rule
+    phase = 0.7
+    widths = [2.0 * math.pi * 10.0 ** (4.0 + 3.0 * k / 11.0) for k in range(12)]
+    widths.append(W0 / 8.000001)
+    for receiver in BENCH_RECEIVERS:
+        scenario = LinkScenario(EARTH, GROUND, receiver, GaussianProfile(W0, SIG, phase))
+        chi = link_redshift(scenario)
+        for efficiency in (1.0, 0.9):
+            rows = qber_bandwidth_sweep(scenario, widths, efficiency=efficiency)
+            assert rows == [object_path_report(s, chi, efficiency, phase) for s in widths]
+            solo = [
+                qber_at_chi(GaussianProfile(W0, s, phase), chi, efficiency, sigma_rad_s=s)
+                for s in widths
+            ]
+            assert rows == solo
+        # a refused width, alone or among valid ones, reads as GaussianProfile refuses it
+        for bad, among in ((W0 / 8.0, widths[:12] + [W0 / 8.0]), (1e-151, [1e-151] + widths)):
+            with pytest.raises(DomainError) as want:
+                GaussianProfile(W0, bad, phase)
+            for grid in ([bad], among):
+                with pytest.raises(DomainError) as got:
+                    qber_bandwidth_sweep(scenario, grid)
+                assert str(got.value) == str(want.value)
+
+
+def test_tiny_widths_are_refused_below_the_floor():
+    # at sigma = 1e-160 the overlap's 2 s_a s_b underflowed to a subnormal
+    # and an error rate of 1e-12 read 0
+    for sigma in (1e-170, 1e-160, 0.5 * wavepacket.MIN_WIDTH_RAD_S):
+        with pytest.raises(DomainError, match="below the narrowest width"):
+            GaussianProfile(10.0 * sigma, sigma)
+    p = GaussianProfile(1e-149, wavepacket.MIN_WIDTH_RAD_S)
+    assert qber_at_chi(p, 1.0 / 1.0000001).qber == pytest.approx(1.0e-12, rel=0.02)
+    # an image narrower than the floor is refused as redshift_transform refuses it
+    with pytest.raises(DomainError, match="below the narrowest width") as want:
+        redshift_transform(p, 1.0000001)
+    with pytest.raises(DomainError) as got:
+        qber_at_chi(p, 1.0000001)
+    assert str(got.value) == str(want.value)
+
+
+def test_chi_whose_square_vanishes_or_overflows_is_refused():
+    gaussian = GaussianProfile(2.7e15, 1e6)
+    omega = 2.7e15 + 1e6 * np.linspace(-8.0, 8.0, 101)
+    grid = SampledGridProfile.from_samples(omega, np.exp(-0.5 * ((omega - 2.7e15) / 1e6) ** 2))
+    for profile in (gaussian, grid):
+        for chi in (1e-200, 1e200):
+            with pytest.raises(DomainError, match=r"chi\*\*2 must be finite and nonzero"):
+                qber_at_chi(profile, chi)
+    with pytest.raises(DomainError, match=r"chi\*\*2 must be finite and nonzero"):
+        redshift_transform(gaussian, 1e-170)
+    # images off the profile rules: a carrier past the largest float, a width below the floor
+    for chi in (1e-150, 1e150):
+        with pytest.raises(DomainError) as want:
+            redshift_transform(gaussian, chi)
+        with pytest.raises(DomainError) as got:
+            qber_at_chi(gaussian, chi)
+        assert str(got.value) == str(want.value)
 
 
 def test_bandwidth_sweep_input_checks():

@@ -70,6 +70,15 @@ def test_redshift_factor_accessors():
     assert f.z == 0.25 - 1.0
 
 
+def test_redshift_factor_refuses_a_square_that_vanishes_or_overflows():
+    # every frequency a redshift maps is divided by chi**2
+    for chi in (1e-200, 1e-170, 1e155, 1e200):
+        with pytest.raises(DomainError, match=r"chi\*\*2 must be finite and nonzero"):
+            RedshiftFactor(chi)
+    for chi in (1e-160, 1e154):  # a subnormal and a near-largest square stay
+        assert 0.0 < RedshiftFactor(chi).chi_squared < math.inf
+
+
 def test_static_static_equal_radii_is_exactly_one():
     chi = redshift_static_static(EARTH, 6.371e6, 6.371e6)
     assert chi.chi == 1.0
