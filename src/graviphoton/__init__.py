@@ -32,7 +32,6 @@ from .errors import (
     NormalizationError,
     NumericalError,
     OrbitDomainError,
-    QuadratureError,
 )
 from .metrology import (
     EstimationReport,

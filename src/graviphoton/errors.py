@@ -39,9 +39,5 @@ class NumericalError(GraviphotonError):
     """A numerical routine failed to reach the requested accuracy."""
 
 
-class QuadratureError(NumericalError):
-    """An overlap of two tabulated profiles exceeded its panel limit."""
-
-
 class NonPhysicalState(NumericalError):
     """A covariance matrix violates the uncertainty bound."""

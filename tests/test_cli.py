@@ -16,8 +16,8 @@ import graviphoton
 from graviphoton import (
     GaussianProfile,
     LinkScenario,
+    NumericalError,
     ObserverPath,
-    QuadratureError,
     SampledGridProfile,
     SchwarzschildGeometry,
     cli,
@@ -402,13 +402,13 @@ def test_removed_run_flags_exit_two(tmp_path, capsys):
 
 def test_numerical_failure_exits_four(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
-        raise QuadratureError("integration diverged")
+        raise NumericalError("integration diverged")
 
     monkeypatch.setattr(cli, "overlap", boom)
     path = write_config(tmp_path, config_for("overlap"))
     code, _, err = run_cli(capsys, ["run", path])
     assert code == 4
-    assert json.loads(err)["error"] == "QuadratureError"
+    assert json.loads(err)["error"] == "NumericalError"
 
 
 def test_grid_overlap_is_divided_by_the_photon_norm(tmp_path, capsys):
@@ -430,32 +430,53 @@ def test_grid_overlap_is_divided_by_the_photon_norm(tmp_path, capsys):
     assert abs(mags[1] - mags[0]) <= 1e-15
 
 
-def test_evaluation_budget_exits_four_before_evaluating(tmp_path, capsys, monkeypatch):
-    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 200)
-    grid = SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
+def test_large_grid_overlap_runs_from_both_commands(tmp_path, capsys):
+    # 150k nodes: the photon and its redshifted image interleave to about
+    # 300k panels, and both commands compute the row of the sampled Gaussian
+    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 150_000)
     cfg = config_for("overlap")
-    cfg["photon"] = grid_block(grid)
-    path = write_config(tmp_path, cfg)
-    # the norm of the 200-node photon needs 4 * 199 evaluations
-    monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 199 - 1)
-    evaluated = []
-
-    def counted(profile, ref, u, _method=SampledGridProfile.amplitude_at_offset):
-        evaluated.append(np.size(u))
-        return _method(profile, ref, u)
-
-    monkeypatch.setattr(SampledGridProfile, "amplitude_at_offset", counted)
-    integrated = []
-    monkeypatch.setattr(wavepacket.spline, "overlap", lambda *args: integrated.append(args))
-    for argv in (["validate", path], ["run", path]):
-        code, _, err = run_cli(capsys, argv)
-        assert code == 4, argv
-        assert json.loads(err)["error"] == "QuadratureError", argv
-    assert evaluated == []
-    assert integrated == []
+    cfg["photon"] = grid_block(
+        SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
+    )
+    mags = []
+    for photon in (cfg["photon"], photon_block()):
+        path = write_config(tmp_path, {**cfg, "photon": photon})
+        assert run_cli(capsys, ["validate", path])[0] == 0
+        code, out, _ = run_cli(capsys, ["run", path])
+        assert code == 0
+        mags.append(float(out.splitlines()[1].split(",")[4]))
+    assert abs(mags[0] - mags[1]) < 1e-10
 
 
-def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys, monkeypatch):
+def test_gaussian_rows_do_not_change_under_power_of_two_scaling(tmp_path, capsys):
+    # a Gaussian row depends on ratios of frequencies only, and scaling every
+    # frequency by 2^k is exact: from the width floor (k = -517) to the float
+    # limit of the carrier (k = 972) each cell equals the unscaled one
+    golden = Path(__file__).parent / "golden"
+    for task in ("overlap", "qber-sweep"):
+        cfg = json.loads((golden / f"{task}.json").read_text())
+        photon, sweep = dict(cfg["photon"]), cfg.get("sweep", {}).get("sigma_rad_s", [])
+        expected = None
+        for k in [0, *range(-517, 973)]:
+            cfg["photon"].update(
+                omega0_rad_s=math.ldexp(photon["omega0_rad_s"], k),
+                sigma_rad_s=math.ldexp(photon["sigma_rad_s"], k),
+            )
+            if sweep:
+                cfg["sweep"]["sigma_rad_s"] = [math.ldexp(s, k) for s in sweep]
+            path = write_config(tmp_path, cfg)
+            assert run_cli(capsys, ["validate", path])[0] == 0, (task, k)
+            code, out, _ = run_cli(capsys, ["run", path])
+            assert code == 0, (task, k)
+            rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+            if sweep:
+                for row in rows:
+                    row[0] = math.ldexp(row[0], -k)
+            expected = rows if expected is None else expected
+            assert rows == expected, (task, k)
+
+
+def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys):
     corpus = []
     corpus.append(("ok-redshift", config_for("redshift"), 0))
     corpus.append(("ok-qfi", config_for("qfi-sweep"), 0))
@@ -508,18 +529,9 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys, monkeypatch):
     big_probes = config_for("qfi-sweep")
     big_probes["estimation"]["probe_count"] = too_big
     corpus.append(("oversized-int-probe-count", big_probes, 2))
-    # the norm of a 401-node photon needs 4 * 400 evaluations, its overlap
-    # with the redshifted copy, whose nodes interleave with its own, 4 * 801
-    monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 400)
-    w = np.linspace(W0 - 8.0 * SIG, W0 + 8.0 * SIG, 401)
-    over_budget = config_for("overlap")
-    over_budget["photon"] = grid_block(
-        SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / SIG) ** 2))
-    )
-    corpus.append(("grid-overlap-over-budget", over_budget, 4))
     for name, cfg, expected in corpus:
         path = write_config(tmp_path, cfg, f"{name}.json")
-        val_code, val_out, val_err = run_cli(capsys, ["validate", path])
+        val_code, val_out, _ = run_cli(capsys, ["validate", path])
         run_code, _, run_err = run_cli(
             capsys, ["run", path, "--output", str(tmp_path / "out.csv")]
         )
@@ -530,9 +542,6 @@ def test_validate_and_run_agree_on_small_corpus(tmp_path, capsys, monkeypatch):
             assert json.loads(run_err)["error"] == first_class, name
         if expected == 2:
             assert json.loads(run_err)["error"] == "ConfigParseError", name
-        if expected == 4:
-            assert json.loads(val_err)["error"] == "QuadratureError", name
-            assert json.loads(run_err)["error"] == "QuadratureError", name
 
 
 # JSON values of the wrong type for a number or a list of numbers

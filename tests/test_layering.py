@@ -50,7 +50,7 @@ def test_readme_constants_are_package_attributes():
     names = set(re.findall(r"`([A-Z][A-Z0-9]+(?:_[A-Z0-9]+)+)\b", text))
     stems = [p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
     modules = [graviphoton] + [importlib.import_module(f"graviphoton.{stem}") for stem in stems]
-    assert names >= {"NORM_TOL", "QUAD_EVAL_BUDGET"}
+    assert names >= {"NORM_TOL", "MIN_CARRIER_TO_WIDTH"}
     assert sorted(n for n in names if not any(hasattr(m, n) for m in modules)) == []
 
 
@@ -84,6 +84,41 @@ def test_only_the_cli_names_config_parse_errors():
             if "ConfigParseError" in named:
                 found.add(path.stem)
     assert found == {"cli", "errors"}
+
+
+def _error_classes_left_unraised(sources):
+    """Classes of ``sources["errors"]`` that no other module raises or
+    subclasses; a base class counts as raised when a subclass is."""
+    tree = ast.parse(sources["errors"])
+    bases = {
+        n.name: {b.id for b in n.bases if isinstance(b, ast.Name)}
+        for n in tree.body
+        if isinstance(n, ast.ClassDef)
+    }
+    live = set()
+    for stem, source in sources.items():
+        if stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                live.add(getattr(exc, "id", getattr(exc, "attr", None)))
+            elif isinstance(node, ast.ClassDef):
+                live.update(getattr(b, "id", getattr(b, "attr", None)) for b in node.bases)
+    todo = list(live & bases.keys())
+    while todo:
+        for base in bases[todo.pop()] & bases.keys() - live:
+            live.add(base)
+            todo.append(base)
+    return sorted(bases.keys() - live)
+
+
+def test_every_error_class_is_raised_by_another_module():
+    # an error type outlives its last raise unless a test notices
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _error_classes_left_unraised(sources) == []
+    retired = sources["errors"] + "\n\nclass RetiredError(NumericalError):\n    pass\n"
+    assert _error_classes_left_unraised({**sources, "errors": retired}) == ["RetiredError"]
 
 
 _VALIDATED = {"SymplecticMatrix", "GaussianState"}

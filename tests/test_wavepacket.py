@@ -14,17 +14,19 @@ from graviphoton import (
     DomainError,
     GaussianProfile,
     NormalizationError,
-    QuadratureError,
     RedshiftFactor,
     SampledGridProfile,
+    SchwarzschildGeometry,
     cli,
     l2_norm,
     mixing_angle,
     overlap,
+    redshift_static_static,
     redshift_transform,
     sharp_commutator_scale,
     wavepacket,
 )
+from graviphoton.constants import EARTH_MASS_KG, EARTH_RADIUS_M
 
 W0 = 2.0 * math.pi * 4.3e14
 SIG = 2.0 * math.pi * 1e5
@@ -271,16 +273,30 @@ def test_spline_fit_allocates_little_beyond_its_coefficients():
     assert peak - base <= 3.5 * c.nbytes
 
 
-def test_grid_overlap_panel_limit_counts_the_union():
-    # 150k nodes each: the bound a._du.size + xb.size - 1 passes the 262,144
-    # panel limit, so the exact union decides
+def test_million_node_overlap_has_no_limit_and_bounded_memory():
+    # two 150k-node grids on the same nodes differ by their phase alone
     a = sampled_gaussian(W0, SIG, n=150_000)
-    b = sampled_gaussian(W0, SIG, n=150_000, phase=0.7)  # the same nodes
+    b = sampled_gaussian(W0, SIG, n=150_000, phase=0.7)
     assert abs(overlap(a, b) - cmath.exp(0.7j)) < 1e-9
-    step = a.omega_rad_s[1] - a.omega_rad_s[0]
-    c = SampledGridProfile.from_samples(a.omega_rad_s + 0.5 * step, a.amplitude)
-    with pytest.raises(QuadratureError, match="needs 1199996 evaluations"):
-        overlap(a, c)
+    del a, b
+    # a Gaussian and its image 500 km up, on 1000 and on 1M nodes; the large
+    # overlap interleaves two 1M-node grids and allocates O(n), not O(panels x 4)
+    earth = SchwarzschildGeometry.from_mass(EARTH_MASS_KG)
+    chi = redshift_static_static(earth, EARTH_RADIUS_M, EARTH_RADIUS_M + 5.0e5)
+    small = sampled_gaussian(W0, SIG, n=1000)
+    want = abs(overlap(small, redshift_transform(small, chi)))
+    n = 1_000_000
+    a = sampled_gaussian(W0, SIG, n=n)
+    b = redshift_transform(a, chi)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = abs(overlap(a, b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) < 1e-10
+    assert peak - base <= 40 * n
 
 
 def test_grid_overlap_evaluation_counts(monkeypatch):
@@ -299,24 +315,6 @@ def test_grid_overlap_evaluation_counts(monkeypatch):
     overlap(g, f)
     assert calls == []
     assert len(closed) == 2
-
-
-def test_evaluation_budget_is_checked_before_evaluating(monkeypatch):
-    g = exact_grid(100, OPTICAL, 8.0, seed=6)
-    calls = record_calls(monkeypatch)
-    closed = record_closed_forms(monkeypatch)
-    # a grid-grid panel counts as the four evaluations of an exact Gauss rule
-    monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 99 - 1)
-    with pytest.raises(QuadratureError, match="needs 396 evaluations"):
-        l2_norm(g)
-    with pytest.raises(QuadratureError):
-        SampledGridProfile.from_samples(g.omega_rad_s, g.amplitude)
-    assert calls == []
-    assert closed == []
-    monkeypatch.setattr(wavepacket, "QUAD_EVAL_BUDGET", 4 * 99)
-    assert abs(l2_norm(g) - 1.0) < 1e-12
-    assert calls == []
-    assert len(closed) == 1
 
 
 def dense_mixed_reference(f, g):
