@@ -52,6 +52,7 @@ from .protocols import (
     qber_bandwidth_sweep,
 )
 from .spacetime import (
+    OBSERVER_KINDS,
     ObserverPath,
     SchwarzschildGeometry,
     check_redshift_pair,
@@ -192,10 +193,9 @@ def _build_body(body: dict, path: str) -> SchwarzschildGeometry:
 
 def _build_observer(obs: dict, path: str) -> ObserverPath:
     _check_keys(obs, path, ("type", "radius_m"))
-    if obs.get("type") not in ("static", "orbit"):
-        raise ConfigParseError(
-            f"{path}.type must be 'static' or 'orbit', got {obs.get('type')!r}"
-        )
+    if obs.get("type") not in OBSERVER_KINDS:
+        kinds = " or ".join(map(repr, OBSERVER_KINDS))
+        raise ConfigParseError(f"{path}.type must be {kinds}, got {obs.get('type')!r}")
     return ObserverPath(obs["type"], _number(obs, path, "radius_m"))
 
 

@@ -6,12 +6,11 @@ spectrum rescaled by the redshift factor.  The only figure computed here is
 the error floor that this mode mismatch imposes on a two-photon
 interference measurement,
 
-    qber = (1 - visibility) / 2,    visibility = efficiency * |Theta|^2,
+    qber = (1 - visibility) / 2,    visibility = |Theta|^2,
 
 with ``Theta`` the spectral overlap between the original and the redshifted
-wavepacket.  Detector dark counts, propagation loss and Doppler terms from
-relative motion are deliberately out of scope; an overall multiplicative
-``efficiency`` (default 1) is the single hook left for such effects.
+wavepacket.  Detector losses and dark counts, propagation loss and Doppler
+terms from relative motion are deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ class QberReport:
 
     chi: RedshiftFactor
     overlap_magnitude: float
-    visibility: float
-    qber: float
-    efficiency: float = 1.0
     sigma_rad_s: float | None = None
 
     def __post_init__(self):
@@ -73,10 +69,16 @@ class QberReport:
             raise DomainError(
                 f"overlap magnitude {self.overlap_magnitude!r} outside [0, 1]"
             )
-        if not (0.0 <= self.visibility <= 1.0):
-            raise DomainError(f"visibility {self.visibility!r} outside [0, 1]")
-        if not (0.0 <= self.qber <= 0.5):
-            raise DomainError(f"qber {self.qber!r} outside [0, 0.5]")
+
+    @property
+    def visibility(self) -> float:
+        """Two-photon interference visibility ``|Theta|**2``."""
+        return self.overlap_magnitude**2
+
+    @property
+    def qber(self) -> float:
+        """Error floor ``(1 - visibility) / 2``."""
+        return 0.5 * (1.0 - self.visibility)
 
 
 def link_redshift(scenario: LinkScenario) -> RedshiftFactor:
@@ -113,28 +115,14 @@ def check_sweep_widths(profile: GaussianProfile, sigmas) -> None:
         check_gaussian(profile.omega0_rad_s, s)
 
 
-def _check_efficiency(efficiency: float) -> float:
-    efficiency = float(efficiency)
-    if not (0.0 <= efficiency <= 1.0):
-        raise DomainError(f"efficiency must lie in [0, 1], got {efficiency!r}")
-    return efficiency
-
-
-def _report(chi, magnitude, efficiency, sigma_rad_s) -> QberReport:
-    magnitude = min(magnitude, 1.0)
-    visibility = efficiency * magnitude**2
-    return QberReport(
-        chi, magnitude, visibility, 0.5 * (1.0 - visibility), efficiency, sigma_rad_s
-    )
-
-
-def qber_at_chi(profile, chi, efficiency: float = 1.0, sigma_rad_s=None) -> QberReport:
+def qber_at_chi(profile, chi) -> QberReport:
     """Error report for a given profile and redshift factor.
 
-    ``chi == 1`` skips the transform and the overlap: the photons are
-    identical, so the overlap magnitude is exactly one.
+    A Gaussian overlaps its image in closed form, and its width goes into the
+    report's ``sigma_rad_s``.  For a tabulated profile ``chi == 1`` skips the
+    transform and the overlap: the photons are identical, so the overlap
+    magnitude is exactly one.
     """
-    efficiency = _check_efficiency(efficiency)
     if not isinstance(chi, RedshiftFactor):
         chi = RedshiftFactor(float(chi))
     if isinstance(profile, GaussianProfile):
@@ -145,22 +133,15 @@ def qber_at_chi(profile, chi, efficiency: float = 1.0, sigma_rad_s=None) -> Qber
         magnitude = 1.0
     else:
         magnitude = abs(overlap(profile, redshift_transform(profile, chi)))
-    return _report(chi, magnitude, efficiency, sigma_rad_s)
+    return QberReport(chi, min(magnitude, 1.0), getattr(profile, "sigma_rad_s", None))
 
 
-def interference_qber(scenario: LinkScenario, *, efficiency: float = 1.0) -> QberReport:
+def interference_qber(scenario: LinkScenario) -> QberReport:
     """Gravitational interference error for a complete link scenario."""
-    chi = link_redshift(scenario)
-    sigma = getattr(scenario.profile, "sigma_rad_s", None)
-    return qber_at_chi(scenario.profile, chi, efficiency, sigma_rad_s=sigma)
+    return qber_at_chi(scenario.profile, link_redshift(scenario))
 
 
-def qber_bandwidth_sweep(
-    scenario: LinkScenario,
-    sigma_grid,
-    *,
-    efficiency: float = 1.0,
-) -> list[QberReport]:
+def qber_bandwidth_sweep(scenario: LinkScenario, sigma_grid) -> list[QberReport]:
     """One :class:`QberReport` per bandwidth in ``sigma_grid``.
 
     The scenario's profile supplies the carrier frequency; its width is
@@ -172,11 +153,10 @@ def qber_bandwidth_sweep(
     base = check_sweep_profile(scenario.profile)
     sigmas = check_sigma_grid(sigma_grid)
     chi = link_redshift(scenario)
-    efficiency = _check_efficiency(efficiency)
     check_sweep_widths(base, sigmas)
     w0, c2 = base.omega0_rad_s, chi.chi_squared
     reports = [
-        _report(chi, gaussian_redshift_overlap(w0, s, c2), efficiency, s) for s in sigmas
+        QberReport(chi, min(gaussian_redshift_overlap(w0, s, c2), 1.0), s) for s in sigmas
     ]
     # bench/spans.py times the Gaussian transform and overlap layers on
     # sweeps, which no row reaches: the first width, known valid, takes them

@@ -151,6 +151,11 @@ def _orbit_factor(geometry: SchwarzschildGeometry, radius_m: float) -> float:
     return val
 
 
+def _factor_from_rates(rate_a: float, rate_b: float) -> RedshiftFactor:
+    """``chi`` with ``chi**2 = sqrt(rate_a) / sqrt(rate_b)``, from squared clock rates."""
+    return RedshiftFactor(math.sqrt(math.sqrt(rate_a) / math.sqrt(rate_b)))
+
+
 def redshift_static_static(
     geometry: SchwarzschildGeometry, r_emit_m: float, r_receive_m: float
 ) -> RedshiftFactor:
@@ -160,9 +165,7 @@ def redshift_static_static(
     upward (``r_receive > r_emit``) arrives with lower frequency.
     """
     fa = geometry.lapse_squared(r_emit_m)
-    fb = geometry.lapse_squared(r_receive_m)
-    chi_sq = math.sqrt(fa) / math.sqrt(fb)
-    return RedshiftFactor(math.sqrt(chi_sq))
+    return _factor_from_rates(fa, geometry.lapse_squared(r_receive_m))
 
 
 def redshift_static_orbit(
@@ -175,9 +178,7 @@ def redshift_static_orbit(
     ``chi**2 = sqrt(1 - 2GM/(c^2 r_A)) / sqrt(1 - 3GM/(c^2 r_B))``.
     """
     fa = geometry.lapse_squared(r_emit_m)
-    ob = _orbit_factor(geometry, r_orbit_m)
-    chi_sq = math.sqrt(fa) / math.sqrt(ob)
-    return RedshiftFactor(math.sqrt(chi_sq))
+    return _factor_from_rates(fa, _orbit_factor(geometry, r_orbit_m))
 
 
 def clock_rate_squared(geometry: SchwarzschildGeometry, observer: ObserverPath) -> float:

@@ -100,7 +100,8 @@ class GaussianProfile:
         # bandwidths need the argument resolved far below one ULP of that,
         # so the shift from the carrier is accumulated in small numbers.
         x = ((ref - self.omega0_rad_s) + np.asarray(u, dtype=float)) / self.sigma_rad_s
-        amp = (math.pi * self.sigma_rad_s**2) ** (-0.25) * np.exp(-0.5 * x * x)
+        # not (pi sigma^2)**-0.25: sigma^2 overflows from sigma ~ 1e154
+        amp = math.pi**-0.25 / math.sqrt(self.sigma_rad_s) * np.exp(-0.5 * x * x)
         return amp * np.exp(1j * self.phase_rad)
 
 
@@ -375,9 +376,8 @@ def gaussian_redshift_overlap(omega0_rad_s, sigma_rad_s, chi_squared) -> float:
     Floats meeting :func:`check_gaussian` in, and out, for ``chi_squared !=
     1``, ``abs(overlap(p, redshift_transform(p, chi)))`` bit for bit, or its
     error, for ``p = GaussianProfile(omega0_rad_s, sigma_rad_s, phase)``.
+    At ``chi_squared == 1`` the image is ``p`` itself and the result is 1.0.
     """
-    if chi_squared == 1.0:
-        return 1.0
     w1, s1 = _gaussian_image(omega0_rad_s, sigma_rad_s, chi_squared)
     check_gaussian(w1, s1)
     return _gaussian_overlap(sigma_rad_s, s1, omega0_rad_s - w1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,12 +51,10 @@ BENCH_RECEIVERS = (
 )
 
 
-def object_path_report(sigma, chi, efficiency, phase):
+def object_path_report(sigma, chi, phase):
     """The report of one width through the public profile objects."""
     p = GaussianProfile(W0, sigma, phase)
-    magnitude = min(abs(overlap(p, redshift_transform(p, chi))), 1.0)
-    visibility = efficiency * magnitude**2
-    return QberReport(chi, magnitude, visibility, 0.5 * (1.0 - visibility), efficiency, sigma)
+    return QberReport(chi, min(abs(overlap(p, redshift_transform(p, chi))), 1.0), sigma)
 
 
 def oracle_qber(chi, sigma):
@@ -84,13 +83,10 @@ def test_scenario_validation():
 
 def test_report_validation():
     chi = RedshiftFactor(1.0)
-    QberReport(chi, 0.9, 0.81, 0.095)
-    with pytest.raises(DomainError, match="overlap magnitude"):
-        QberReport(chi, 1.2, 0.8, 0.1)
-    with pytest.raises(DomainError, match="visibility"):
-        QberReport(chi, 0.9, -0.1, 0.1)
-    with pytest.raises(DomainError, match="qber"):
-        QberReport(chi, 0.9, 0.8, 0.7)
+    QberReport(chi, 0.9)
+    for magnitude in (1.2, -0.1, math.nan):
+        with pytest.raises(DomainError, match="overlap magnitude"):
+            QberReport(chi, magnitude)
 
 
 def test_link_redshift_matches_pointwise_formulas():
@@ -118,17 +114,12 @@ def test_matched_frequencies_give_zero_error_rate():
 
 def test_report_fields_are_consistent():
     chi = RedshiftFactor(math.sqrt(1.0 + 3.0e-11))
-    rep = qber_at_chi(PHOTON, chi, efficiency=0.93)
-    assert rep.visibility == pytest.approx(0.93 * rep.overlap_magnitude**2, rel=1e-15)
-    assert rep.qber == pytest.approx((1.0 - rep.visibility) / 2.0, rel=1e-15)
-    assert rep.efficiency == 0.93
-    with pytest.raises(DomainError, match="efficiency"):
-        qber_at_chi(PHOTON, chi, efficiency=1.2)
-
-
-def test_lossy_detection_raises_floor_even_when_matched():
-    rep = qber_at_chi(PHOTON, RedshiftFactor(1.0), efficiency=0.9)
-    assert rep.qber == pytest.approx(0.05, rel=1e-15)
+    rep = qber_at_chi(PHOTON, chi)
+    assert rep.visibility == rep.overlap_magnitude**2
+    assert rep.qber == 0.5 * (1.0 - rep.visibility)
+    assert rep.sigma_rad_s == SIG
+    names = tuple(f.name for f in dataclasses.fields(QberReport))
+    assert names == ("chi", "overlap_magnitude", "sigma_rad_s")
 
 
 def test_ground_to_orbit_error_rate_against_reference():
@@ -168,14 +159,9 @@ def test_bandwidth_sweep_matches_single_point_calls():
     for receiver in BENCH_RECEIVERS:
         scenario = LinkScenario(EARTH, GROUND, receiver, GaussianProfile(W0, SIG, phase))
         chi = link_redshift(scenario)
-        for efficiency in (1.0, 0.9):
-            rows = qber_bandwidth_sweep(scenario, widths, efficiency=efficiency)
-            assert rows == [object_path_report(s, chi, efficiency, phase) for s in widths]
-            solo = [
-                qber_at_chi(GaussianProfile(W0, s, phase), chi, efficiency, sigma_rad_s=s)
-                for s in widths
-            ]
-            assert rows == solo
+        rows = qber_bandwidth_sweep(scenario, widths)
+        assert rows == [object_path_report(s, chi, phase) for s in widths]
+        assert rows == [qber_at_chi(GaussianProfile(W0, s, phase), chi) for s in widths]
         # a refused width, alone or among valid ones, reads as GaussianProfile refuses it
         for bad, among in ((W0 / 8.0, widths[:12] + [W0 / 8.0]), (1e-151, [1e-151] + widths)):
             with pytest.raises(DomainError) as want:
@@ -265,13 +251,12 @@ def test_small_shift_scaling_is_quadratic():
 @given(
     u=st.floats(-3.0, -0.1),
     ratio=st.floats(0.25, 2.8),
-    eff=st.floats(0.5, 1.0),
 )
 @settings(max_examples=40, deadline=None)
-def test_symmetry_property(u, ratio, eff):
+def test_symmetry_property(u, ratio):
     kappa = 1.0 + 10.0**u
     sigma = min(W0 * (kappa - 1.0) / ratio, W0 / 8.6)
     prof = GaussianProfile(W0, sigma)
-    up = qber_at_chi(prof, RedshiftFactor(math.sqrt(kappa)), efficiency=eff)
-    down = qber_at_chi(prof, RedshiftFactor(math.sqrt(1.0 / kappa)), efficiency=eff)
+    up = qber_at_chi(prof, RedshiftFactor(math.sqrt(kappa)))
+    down = qber_at_chi(prof, RedshiftFactor(math.sqrt(1.0 / kappa)))
     assert up.qber == pytest.approx(down.qber, rel=1e-9, abs=1e-12)

@@ -101,6 +101,13 @@ def test_gaussian_profile_is_normalized():
     assert math.isclose(l2_norm(GaussianProfile(W0, SIG)), 1.0, abs_tol=1e-11)
 
 
+def test_gaussian_peak_amplitude_at_every_width():
+    # (pi sigma^2)**-0.25 read 0 from sigma ~ 7.6e153 and raised OverflowError from 1.4e154
+    for sigma in 10.0 ** np.linspace(-150.0, 300.0, 451):
+        peak = GaussianProfile(10.0 * sigma, sigma)(10.0 * sigma)
+        assert peak * math.sqrt(sigma) * math.pi**0.25 == pytest.approx(1.0, rel=4e-16)
+
+
 def test_gaussian_profile_guards():
     with pytest.raises(DomainError):
         GaussianProfile(-W0, SIG)
