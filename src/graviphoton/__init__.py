@@ -89,6 +89,7 @@ from .wavepacket import (
     l2_norm,
     mixing_angle,
     overlap,
+    redshift_overlap,
     redshift_transform,
     sharp_commutator_scale,
 )

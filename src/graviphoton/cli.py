@@ -63,8 +63,7 @@ from .wavepacket import (
     GaussianProfile,
     SampledGridProfile,
     mixing_angle,
-    overlap,
-    redshift_transform,
+    redshift_overlap,
 )
 
 TASKS = ("redshift", "overlap", "qber-sweep", "qfi-sweep")
@@ -75,8 +74,6 @@ _TASK_BLOCKS = {
     "qber-sweep": ("body", "emitter", "receiver", "photon", "sweep"),
     "qfi-sweep": ("estimation",),
 }
-
-_TOP_KEYS = ("task", "body", "emitter", "receiver", "photon", "sweep", "estimation", "output")
 
 REDSHIFT_CSV_COLUMNS = ("chi", "chi_squared", "z")
 OVERLAP_CSV_COLUMNS = (
@@ -258,6 +255,8 @@ _BLOCK_BUILDERS = {
     "output": _build_output,
 }
 
+_TOP_KEYS = ("task", *_BLOCK_BUILDERS)
+
 
 def _attempt(found: list, field: str, rule, *args):
     """Result of ``rule(*args)``, or ``None`` with its DomainError put on ``found``."""
@@ -327,24 +326,10 @@ def execute_task(task: str, plan: dict):
         rows = [[chi.chi, chi.chi_squared, chi.z]]
         return REDSHIFT_CSV_COLUMNS, rows, f"chi={_fmt(chi.chi)}"
     if task == "overlap":
-        # divided by the photon's own norm squared: a tabulated photon meets
-        # unit norm only to NORM_TOL, a Gaussian's is exactly 1
-        shifted = redshift_transform(profile, chi)
-        theta_val = overlap(profile, shifted) / overlap(profile, profile).real
-        mix_theta, mix_phi = mixing_angle(theta_val)
-        magnitude = min(abs(theta_val), 1.0)
-        rows = [
-            [
-                chi.chi,
-                chi.chi_squared,
-                theta_val.real,
-                theta_val.imag,
-                magnitude,
-                mix_theta,
-                mix_phi,
-            ]
-        ]
-        return OVERLAP_CSV_COLUMNS, rows, f"overlap_mag={_fmt(magnitude)}"
+        theta = redshift_overlap(profile, chi)
+        magnitude = min(abs(theta), 1.0)
+        row = [chi.chi, chi.chi_squared, theta.real, theta.imag, magnitude, *mixing_angle(theta)]
+        return OVERLAP_CSV_COLUMNS, [row], f"overlap_mag={_fmt(magnitude)}"
     if task == "qber-sweep":
         scenario = LinkScenario(plan["body"], plan["emitter"], plan["receiver"], profile)
         rows = [

@@ -9,8 +9,10 @@ interference measurement,
     qber = (1 - visibility) / 2,    visibility = |Theta|^2,
 
 with ``Theta`` the spectral overlap between the original and the redshifted
-wavepacket.  Detector losses and dark counts, propagation loss and Doppler
-terms from relative motion are deliberately out of scope.
+wavepacket.  :func:`qber_at_chi` and :func:`interference_qber` take it, as
+the CLI ``overlap`` task does, from :func:`~graviphoton.wavepacket.redshift_overlap`,
+divided by the photon's own norm squared.  Detector losses and dark counts,
+propagation loss and Doppler terms from relative motion are out of scope.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .wavepacket import (
     check_gaussian,
     gaussian_redshift_overlap,
     overlap,
+    redshift_overlap,
     redshift_transform,
 )
 
@@ -116,24 +119,10 @@ def check_sweep_widths(profile: GaussianProfile, sigmas) -> None:
 
 
 def qber_at_chi(profile, chi) -> QberReport:
-    """Error report for a given profile and redshift factor.
-
-    A Gaussian overlaps its image in closed form, and its width goes into the
-    report's ``sigma_rad_s``.  For a tabulated profile ``chi == 1`` skips the
-    transform and the overlap: the photons are identical, so the overlap
-    magnitude is exactly one.
-    """
-    if not isinstance(chi, RedshiftFactor):
-        chi = RedshiftFactor(float(chi))
-    if isinstance(profile, GaussianProfile):
-        magnitude = gaussian_redshift_overlap(
-            profile.omega0_rad_s, profile.sigma_rad_s, chi.chi_squared
-        )
-    elif chi.chi == 1.0:
-        magnitude = 1.0
-    else:
-        magnitude = abs(overlap(profile, redshift_transform(profile, chi)))
-    return QberReport(chi, min(magnitude, 1.0), getattr(profile, "sigma_rad_s", None))
+    """Error report for a profile and redshift factor; a Gaussian fills ``sigma_rad_s``."""
+    chi = chi if isinstance(chi, RedshiftFactor) else RedshiftFactor(chi)
+    magnitude = min(abs(redshift_overlap(profile, chi)), 1.0)
+    return QberReport(chi, magnitude, getattr(profile, "sigma_rad_s", None))
 
 
 def interference_qber(scenario: LinkScenario) -> QberReport:

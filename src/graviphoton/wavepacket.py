@@ -383,6 +383,16 @@ def gaussian_redshift_overlap(omega0_rad_s, sigma_rad_s, chi_squared) -> float:
     return _gaussian_overlap(sigma_rad_s, s1, omega0_rad_s - w1)
 
 
+def redshift_overlap(profile, chi) -> complex:
+    """Overlap ``<F, U_chi F> / <F, F>`` of a photon with its redshifted image.
+
+    The division keeps a tabulated photon's norm error (up to ``NORM_TOL``)
+    out of ``1 - |Theta|**2``; a Gaussian's norm is exactly 1.  ``chi`` may
+    be a float or a :class:`RedshiftFactor`.
+    """
+    return overlap(profile, redshift_transform(profile, chi)) / overlap(profile, profile).real
+
+
 def mixing_angle(overlap_value: complex):
     """Beamsplitter angles ``(theta, phi)`` equivalent to an imperfect overlap.
 

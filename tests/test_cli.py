@@ -404,7 +404,7 @@ def test_numerical_failure_exits_four(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("integration diverged")
 
-    monkeypatch.setattr(cli, "overlap", boom)
+    monkeypatch.setattr(cli, "redshift_overlap", boom)
     path = write_config(tmp_path, config_for("overlap"))
     code, _, err = run_cli(capsys, ["run", path])
     assert code == 4

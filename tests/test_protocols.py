@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from graviphoton import (
     QberReport,
     RedshiftFactor,
     SchwarzschildGeometry,
+    cli,
     interference_qber,
     link_redshift,
     overlap,
@@ -105,11 +107,24 @@ def test_orbit_emitter_is_not_supported():
         link_redshift(scen)
 
 
+def gaussian_grid(sigma, nodes=401):
+    """Unit-norm grid of the Gaussian of width ``sigma`` on the carrier +- 8 sigma."""
+    w = np.linspace(W0 - 8.0 * sigma, W0 + 8.0 * sigma, nodes)
+    return SampledGridProfile.from_samples(w, np.exp(-0.5 * ((w - W0) / sigma) ** 2))
+
+
+def off_norm(grid, norm_squared):
+    """``grid`` with its amplitudes scaled to the given norm squared."""
+    return SampledGridProfile(grid.omega_rad_s, grid.amplitude * math.sqrt(norm_squared))
+
+
 def test_matched_frequencies_give_zero_error_rate():
-    rep = qber_at_chi(PHOTON, RedshiftFactor(1.0))
-    assert rep.overlap_magnitude == 1.0
-    assert rep.visibility == 1.0
-    assert rep.qber == 0.0
+    # a grid whose norm is 9e-10 off 1, within NORM_TOL, matches itself exactly too
+    for photon in (PHOTON, off_norm(gaussian_grid(SIG), (1.0 + 9e-10) ** 2)):
+        rep = qber_at_chi(photon, RedshiftFactor(1.0))
+        assert rep.overlap_magnitude == 1.0
+        assert rep.visibility == 1.0
+        assert rep.qber == 0.0
 
 
 def test_report_fields_are_consistent():
@@ -138,6 +153,39 @@ def test_grid_photon_agrees_with_analytic_photon():
     a = qber_at_chi(PHOTON, chi)
     b = qber_at_chi(grid, chi)
     assert b.qber == pytest.approx(a.qber, abs=1e-8)
+
+
+def test_grid_error_rate_does_not_read_its_norm_error(tmp_path, capsys):
+    # the overlap is divided by the photon's norm squared: a grid 9e-10 off
+    # unit norm read a QBER 7.6% off at sigma = 6.28e8 and 7.6e-4 at 6.28e7
+    chi = link_redshift(leo_scenario())
+    assert chi.chi_squared == pytest.approx(1.0 - 5.07e-11, abs=1e-13)
+    cfg = {
+        "task": "overlap",
+        "body": {"mass_kg": EARTH_MASS_KG},
+        "emitter": {"type": "static", "radius_m": GROUND.radius_m},
+        "receiver": {"type": "static", "radius_m": LEO.radius_m},
+    }
+    for sigma in (6.28e8, 6.28e7):
+        unit = qber_at_chi(gaussian_grid(sigma), chi).qber
+        for norm_squared in (1.0 - 9e-10, 1.0 + 9e-10):
+            grid = off_norm(gaussian_grid(sigma), norm_squared)
+            rep = qber_at_chi(grid, chi)
+            assert rep.qber == pytest.approx(unit, rel=1e-6)
+            # the overlap task of the same photon and link writes the same magnitude
+            amp = grid.amplitude
+            cfg["photon"] = {
+                "kind": "grid",
+                "omega_rad_s": grid.omega_rad_s.tolist(),
+                "re": amp.real.tolist(),
+                "im": amp.imag.tolist(),
+            }
+            path = tmp_path / "overlap.json"
+            path.write_text(json.dumps(cfg))
+            assert cli.main(["run", str(path)]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            cell = float(row.split(",")[header.split(",").index("overlap_mag")])
+            assert rep.overlap_magnitude.hex() == cell.hex()
 
 
 def test_bandwidth_sweep_rows():
