@@ -35,9 +35,6 @@ _SUPPORT_SIGMAS = 12.0
 # A Gaussian amplitude must satisfy omega0/sigma > this ratio so that the
 # negative-frequency tail stays below 1e-14 of the norm.
 MIN_CARRIER_TO_WIDTH = 8.0
-# Narrowest Gaussian width, in rad/s: the product of two widths stays a normal
-# float, so the overlap's 2 s_a s_b / (s_a^2 + s_b^2) keeps its digits.
-MIN_WIDTH_RAD_S = 1e-150
 
 
 def check_gaussian(omega0_rad_s: float, sigma_rad_s: float, phase_rad: float = 0.0) -> None:
@@ -59,10 +56,6 @@ def check_gaussian(omega0_rad_s: float, sigma_rad_s: float, phase_rad: float = 0
             f"carrier to width ratio omega0/sigma = {w0 / sg:.3f} is too small; "
             f"require > {MIN_CARRIER_TO_WIDTH:g} so the amplitude is negligible "
             "at negative frequencies"
-        )
-    if sg < MIN_WIDTH_RAD_S:
-        raise DomainError(
-            f"sigma_rad_s = {sg!r} is below the narrowest width {MIN_WIDTH_RAD_S:g}"
         )
 
 
@@ -276,18 +269,20 @@ def _gaussian_grid_overlap(g, p):
     precision at optical frequencies.
     """
     sg, mu, x = g.sigma_rad_s, g.omega0_rad_s - p._base, p._du
-    lo, hi = mu - _SUPPORT_SIGMAS * sg, mu + _SUPPORT_SIGMAS * sg
-    first = max(int(np.searchsorted(x, lo, side="right")) - 1, 0)
-    stop = min(int(np.searchsorted(x, hi)), x.size - 1)
+    cut = _SUPPORT_SIGMAS * sg
+    # mu -+ cut round to mu once cut is below half an ulp of mu: keep both pieces
+    # next to a carrier on a node, and cut the ends as offsets from the carrier
+    first = max(int(np.searchsorted(x, mu - cut)) - 1, 0)
+    stop = min(int(np.searchsorted(x, mu + cut, side="right")), x.size - 1)
     if first >= stop:
         return 0j
-    left, right, c = x[first:stop].copy(), x[first + 1 : stop + 1].copy(), p._c[:, first:stop]
-    right[-1] = min(right[-1], hi)
-    if lo > left[0]:
-        c, d, left[0] = c.copy(), lo - left[0], lo
+    ends, c = np.clip(x[first : stop + 1] - mu, -cut, cut), p._c[:, first:stop]
+    if ends[0] > x[first] - mu:
+        c, d = c.copy(), ends[0] - (x[first] - mu)
         for j in (1, 2, 3, 1, 2, 1):
             c[j, 0] += d * c[j - 1, 0]
-    moments = _gaussian_moments((left - mu) / sg, (right - left) / sg)
+    ends /= sg
+    moments = _gaussian_moments(ends[:-1], np.diff(ends))
     # sigma^(k+1) of the pieces times (pi sigma^2)^(-1/4) of the amplitude
     moments *= (sg ** np.arange(0.5, 4.0) / math.pi**0.25)[:, None]
     # each piece is summed first: its terms may cancel, the pieces' totals less so
@@ -298,9 +293,11 @@ def _gaussian_grid_overlap(g, p):
 def _gaussian_overlap(sa, sb, d):
     """``|<a, b>|`` of two Gaussians of widths ``sa``, ``sb`` and carriers ``d`` apart."""
     s2 = sa * sa + sb * sb
-    if s2 > 2.0**1000:
-        # 2 s2 overflows from widths near 1e154; an exact power of two keeps every ratio
-        return _gaussian_overlap(sa * 2.0**-600, sb * 2.0**-600, d * 2.0**-600)
+    if not 2.0**-1000 < s2 < 2.0**1000:
+        # squares overflow from widths near 1e154 and lose digits below 1e-150; a power
+        # of two keeps every ratio, and a product, unlike ldexp, takes a huge d to inf
+        scale = 2.0**-600 if s2 > 1.0 else 2.0**600
+        return _gaussian_overlap(sa * scale, sb * scale, d * scale)
     return math.sqrt(2.0 * sa * sb / s2) * math.exp(-d * d / (2.0 * s2))
 
 

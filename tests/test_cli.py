@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import graviphoton
+import highprec as hp
 from graviphoton import (
     GaussianProfile,
     LinkScenario,
@@ -260,18 +261,19 @@ def test_domain_failure_exits_three(tmp_path, capsys):
     assert json.loads(err)["error"] == "HorizonError"
 
 
-def test_tiny_gaussian_width_exits_three(tmp_path, capsys):
+def test_tiny_gaussian_width_runs(tmp_path, capsys):
     # these widths crashed both commands with ZeroDivisionError, exit 1
     cfg = json.loads((Path(__file__).parent / "golden" / "overlap.json").read_text())
     cfg["photon"].update(omega0_rad_s=1e-160, sigma_rad_s=1e-170)
     path = write_config(tmp_path, cfg)
     code, out, err = run_cli(capsys, ["validate", path])
-    message = "sigma_rad_s = 1e-170 is below the narrowest width 1e-150"
-    assert (code, out) == (3, f"photon: DomainError: {message}\n")
-    assert err == "task=overlap violations=1\n"
-    code, out, err = run_cli(capsys, ["run", path])
-    assert (code, out) == (3, "")
-    assert json.loads(err) == {"error": "DomainError", "message": message}
+    assert (code, out, err) == (0, "", "task=overlap violations=0\n")
+    code, out, _ = run_cli(capsys, ["run", path])
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    c2 = float(row["chi_squared"])
+    want = hp.gaussian_overlap(*(hp.mp.mpf(v) for v in (1e-160, 1e-170, 1e-160 / c2, 1e-170 / c2)))
+    assert float(row["overlap_mag"]) == pytest.approx(hp.as_float(want), rel=1e-14)
 
 
 def test_validate_and_run_agree_on_sweep_widths(tmp_path, capsys):
@@ -286,13 +288,9 @@ def test_validate_and_run_agree_on_sweep_widths(tmp_path, capsys):
     beyond["sweep"]["sigma_rad_s"] = [10.0, 200.0]
     last = config_for("qber-sweep")
     last["sweep"]["sigma_rad_s"] = [SIG, 2.0 * SIG, 4.0 * SIG, W0 / 8.0]
-    narrow = config_for("qber-sweep")
-    narrow["sweep"]["sigma_rad_s"] = [1e-151, SIG]
-    floor = "sigma_rad_s = 1e-151 is below the narrowest width 1e-150"
     corpus = [
         ("d-sweep-width-beyond-carrier", beyond, ratio_message(1000.0, 200.0)),
         ("last-sweep-width-beyond-carrier", last, ratio_message(W0, W0 / 8.0)),
-        ("sweep-width-below-floor", narrow, floor),
     ]
     for name, cfg, message in corpus:
         path = write_config(tmp_path, cfg, f"{name}.json")
@@ -450,14 +448,15 @@ def test_large_grid_overlap_runs_from_both_commands(tmp_path, capsys):
 
 def test_gaussian_rows_do_not_change_under_power_of_two_scaling(tmp_path, capsys):
     # a Gaussian row depends on ratios of frequencies only, and scaling every
-    # frequency by 2^k is exact: from the width floor (k = -517) to the float
-    # limit of the carrier (k = 972) each cell equals the unscaled one
+    # frequency by 2^k is exact: from the last k at which every width stays a
+    # normal float (k = -1041) to the float limit of the carrier (k = 972)
+    # each cell equals the unscaled one
     golden = Path(__file__).parent / "golden"
     for task in ("overlap", "qber-sweep"):
         cfg = json.loads((golden / f"{task}.json").read_text())
         photon, sweep = dict(cfg["photon"]), cfg.get("sweep", {}).get("sigma_rad_s", [])
         expected = None
-        for k in [0, *range(-517, 973)]:
+        for k in [0, *range(-1041, 973)]:
             cfg["photon"].update(
                 omega0_rad_s=math.ldexp(photon["omega0_rad_s"], k),
                 sigma_rad_s=math.ldexp(photon["sigma_rad_s"], k),
@@ -562,10 +561,11 @@ def sometimes_wrong(values):
 
 @st.composite
 def gaussian_photons(draw):
-    # carrier to width ratios around the MIN_CARRIER_TO_WIDTH rule of 8
-    sigma = draw(st.floats(1.0, 1e12))
+    # widths log-uniform over the float range, carrier to width ratios
+    # around the MIN_CARRIER_TO_WIDTH rule of 8
+    sigma = max(10.0 ** draw(st.floats(-323.3, 300.0)), 5e-324)
     omega0 = sigma * draw(st.one_of(st.floats(7.99, 8.01), st.floats(8.0, 1e4)))
-    if draw(st.booleans()):
+    if omega0 >= 1.0 and draw(st.booleans()):
         omega0 = round(omega0)  # a JSON integer
     block = {
         "kind": "gaussian",

@@ -27,7 +27,6 @@ from graviphoton import (
     redshift_static_static,
 )
 from graviphoton.constants import EARTH_MASS_KG, EARTH_RADIUS_M
-from graviphoton import wavepacket
 from graviphoton.wavepacket import SampledGridProfile
 
 W0 = 2.0 * math.pi * 4.3e14
@@ -211,29 +210,30 @@ def test_bandwidth_sweep_matches_single_point_calls():
         assert rows == [object_path_report(s, chi, phase) for s in widths]
         assert rows == [qber_at_chi(GaussianProfile(W0, s, phase), chi) for s in widths]
         # a refused width, alone or among valid ones, reads as GaussianProfile refuses it
-        for bad, among in ((W0 / 8.0, widths[:12] + [W0 / 8.0]), (1e-151, [1e-151] + widths)):
-            with pytest.raises(DomainError) as want:
-                GaussianProfile(W0, bad, phase)
-            for grid in ([bad], among):
-                with pytest.raises(DomainError) as got:
-                    qber_bandwidth_sweep(scenario, grid)
-                assert str(got.value) == str(want.value)
+        bad = W0 / 8.0
+        with pytest.raises(DomainError) as want:
+            GaussianProfile(W0, bad, phase)
+        for grid in ([bad], widths[:12] + [bad]):
+            with pytest.raises(DomainError) as got:
+                qber_bandwidth_sweep(scenario, grid)
+            assert str(got.value) == str(want.value)
+        # a width far below any optical filter is a width like the others
+        tiny = [1e-151, *widths]
+        assert qber_bandwidth_sweep(scenario, tiny) == [object_path_report(s, chi, phase) for s in tiny]
 
 
-def test_tiny_widths_are_refused_below_the_floor():
+def test_tiny_widths_match_the_sixty_digit_overlap():
     # at sigma = 1e-160 the overlap's 2 s_a s_b underflowed to a subnormal
-    # and an error rate of 1e-12 read 0
-    for sigma in (1e-170, 1e-160, 0.5 * wavepacket.MIN_WIDTH_RAD_S):
-        with pytest.raises(DomainError, match="below the narrowest width"):
-            GaussianProfile(10.0 * sigma, sigma)
-    p = GaussianProfile(1e-149, wavepacket.MIN_WIDTH_RAD_S)
-    assert qber_at_chi(p, 1.0 / 1.0000001).qber == pytest.approx(1.0e-12, rel=0.02)
-    # an image narrower than the floor is refused as redshift_transform refuses it
-    with pytest.raises(DomainError, match="below the narrowest width") as want:
-        redshift_transform(p, 1.0000001)
-    with pytest.raises(DomainError) as got:
-        qber_at_chi(p, 1.0000001)
-    assert str(got.value) == str(want.value)
+    # and an error rate of 1e-12 read 0; images both wider and narrower
+    for sigma in (1e-170, 1e-160, 5e-151, 3.1e-318):
+        p = GaussianProfile(10.0 * sigma, sigma)
+        for chi in (1.0 / 1.0000001, 1.0000001, 0.95):
+            image = redshift_transform(p, chi)
+            want = hp.gaussian_overlap(
+                *(hp.mp.mpf(v) for v in (p.omega0_rad_s, sigma, image.omega0_rad_s, image.sigma_rad_s))
+            )
+            got = qber_at_chi(p, chi).overlap_magnitude
+            assert got == pytest.approx(hp.as_float(want), rel=1e-15), (sigma, chi)
 
 
 def test_chi_whose_square_vanishes_or_overflows_is_refused():
@@ -246,13 +246,15 @@ def test_chi_whose_square_vanishes_or_overflows_is_refused():
                 qber_at_chi(profile, chi)
     with pytest.raises(DomainError, match=r"chi\*\*2 must be finite and nonzero"):
         redshift_transform(gaussian, 1e-170)
-    # images off the profile rules: a carrier past the largest float, a width below the floor
-    for chi in (1e-150, 1e150):
-        with pytest.raises(DomainError) as want:
-            redshift_transform(gaussian, chi)
-        with pytest.raises(DomainError) as got:
-            qber_at_chi(gaussian, chi)
-        assert str(got.value) == str(want.value)
+    # an image carrier past the largest float is refused as redshift_transform refuses it
+    with pytest.raises(DomainError) as want:
+        redshift_transform(gaussian, 1e-150)
+    with pytest.raises(DomainError) as got:
+        qber_at_chi(gaussian, 1e-150)
+    assert str(got.value) == str(want.value)
+    # an image 1e300 times narrower and lower is a photon too, orthogonal to the sent one
+    assert redshift_transform(gaussian, 1e150).sigma_rad_s < 1e-290
+    assert qber_at_chi(gaussian, 1e150).qber == 0.5
 
 
 def test_bandwidth_sweep_input_checks():

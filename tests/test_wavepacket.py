@@ -103,7 +103,7 @@ def test_gaussian_profile_is_normalized():
 
 def test_gaussian_peak_amplitude_at_every_width():
     # (pi sigma^2)**-0.25 read 0 from sigma ~ 7.6e153 and raised OverflowError from 1.4e154
-    for sigma in 10.0 ** np.linspace(-150.0, 300.0, 451):
+    for sigma in [5e-324, *10.0 ** np.linspace(-323.0, 300.0, 624)]:
         peak = GaussianProfile(10.0 * sigma, sigma)(10.0 * sigma)
         assert peak * math.sqrt(sigma) * math.pi**0.25 == pytest.approx(1.0, rel=4e-16)
 
@@ -440,6 +440,18 @@ def test_mixed_overlap_against_sixty_digit_reference(name, kinds):
         bound = 1e-8 * abs(ref)
     assert abs(overlap(f, g) - ref) <= bound
     assert abs(overlap(g, f) - ref.conjugate()) <= bound
+
+
+@pytest.mark.parametrize("mu", [10.03, 10.0], ids=["inside-a-piece", "on-a-node"])
+def test_mixed_overlap_of_a_gaussian_narrower_than_an_ulp_of_its_carrier(mu):
+    # once 12 sigma is below half an ulp of the carrier, carrier -+ 12 sigma
+    # round to the carrier: the cut piece had zero width and the overlap read 0
+    w = np.linspace(0.0, 20.0, 201)
+    g = SampledGridProfile.from_samples(w, np.exp(-0.5 * (w - 10.0) ** 2))
+    for sigma in (1e-16, 5e-17, 1e-20, 1e-310):
+        f = GaussianProfile(mu, sigma)
+        ref = mixed_reference(f, g)
+        assert abs(overlap(f, g) - ref) <= 1e-14 * abs(ref), sigma
 
 
 @pytest.mark.parametrize("other", [object(), None, 1.0], ids=["object", "None", "float"])
